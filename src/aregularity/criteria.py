@@ -26,6 +26,7 @@ sampling bug.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -36,9 +37,12 @@ from .subalgebras import (
     GenericityError,
     GenericStabilizerReport,
     _perp_int_rows,
-    _sample_int_combo,
+    cartan_subspace_stabilizer,
     generic_stabilizer,
+    is_abelian,
     perp,
+    random_combination,
+    sz_bound,
 )
 
 
@@ -51,6 +55,10 @@ class RouteDisagreementError(RuntimeError):
     def __init__(self, routes: dict[str, bool]):
         self.routes = routes
         super().__init__(f"decision routes disagree: {routes}")
+
+
+class CertificateError(RuntimeError):
+    """A YES certificate failed its exact re-verification (an internal bug)."""
 
 
 @dataclass(frozen=True)
@@ -146,8 +154,6 @@ def find_regular_witness(e: Embedding, cfg: DecisionConfig) -> Optional[list]:
     Small-coefficient samples are tried first (regular points are dense, so
     almost any sample works and small entries keep the exact rank check
     cheap), then samples at the configured coefficient bound."""
-    import random
-
     L = e.ambient
     rows = _perp_int_rows(e)
     if not rows:
@@ -155,7 +161,7 @@ def find_regular_witness(e: Embedding, cfg: DecisionConfig) -> Optional[list]:
     rng = random.Random(cfg.seed ^ 0x5EED)
     for bound in [_WITNESS_HUNT_BOUND] * _WITNESS_HUNT_TRIALS + \
                  [cfg.coeff_bound] * cfg.trials:
-        x = _sample_int_combo(rng, rows, bound, L.dim)
+        x = random_combination(rng, rows, bound, L.dim)
         regular, _ = L.is_regular(x)
         if regular:
             return x
@@ -173,7 +179,7 @@ def decide_regular_element(e: Embedding,
     if witness is not None:
         return Verdict(True, ExactRegularElement(tuple(witness)),
                        ("regular_element",), inv)
-    bound = Fraction(e.ambient.dim, 2 * cfg.coeff_bound + 1) ** cfg.trials
+    bound = sz_bound(e.ambient.dim, cfg.coeff_bound, cfg.trials)
     return Verdict(False, RandomizedNegative(bound), ("regular_element",), inv)
 
 
@@ -189,38 +195,27 @@ def decide_abelian_stabilizer(e: Embedding,
 def decide_numerical(e: Embedding,
                      cfg: DecisionConfig = DecisionConfig()) -> Verdict:
     """YES iff c + rk + dim h equals the Borel dimension of g."""
-    k = knop_invariants(e, cfg)
-    inv = VerdictInvariants(c=k["c"], rk=k["rk"], dim_h_star=k["dim_h_star"],
-                            dim_borel=e.ambient.borel_dim())
-    yes = k["c"] + k["rk"] + e.dim_h == inv.dim_borel
-    return Verdict(yes, Numerical(k["c"], k["rk"]), ("numerical",), inv)
+    inv = _invariants(e, cfg)
+    yes = inv.c + inv.rk + e.dim_h == inv.dim_borel
+    return Verdict(yes, Numerical(inv.c, inv.rk), ("numerical",), inv)
 
 
 def satake_route(e: Embedding, cfg: DecisionConfig = DecisionConfig()) -> Verdict:
     """Symmetric-pair route: abelian z_h(c) for a maximal abelian c in q.
 
     This is the computational surrogate for the involution diagram having
-    no painted nodes; z_h(c) realizes the generic stabilizer exactly."""
-    from .subalgebras import cartan_subspace_stabilizer
-
+    no painted nodes; z_h(c) realizes the generic stabilizer exactly.  Its
+    reductive rank is exact, rank g - dim c (Kostant-Rallis: z_g(c) =
+    z_h(c) + c is a Levi subalgebra with c central)."""
     L = e.ambient
-    _, zc = cartan_subspace_stabilizer(e, seed=cfg.seed + 17, trials=cfg.trials,
+    c, zc = cartan_subspace_stabilizer(e, seed=cfg.seed + 17, trials=cfg.trials,
                                        coeff_bound=cfg.coeff_bound)
-    rows = [scale_to_int(v) for v in zc.basis]
-    abelian = all(not any(L.bracket(rows[i], rows[j]))
-                  for i in range(len(rows)) for j in range(i + 1, len(rows)))
-    rank = zc.dim
-    if not abelian:
-        from .subalgebras import _min_dim_kernel_over_samples
-        import random
-        _, rank = _min_dim_kernel_over_samples(
-            L, rows, rows, random.Random(cfg.seed + 23), cfg.trials,
-            cfg.coeff_bound)
-    per_trial = Fraction(L.dim, 2 * cfg.coeff_bound + 1)
+    abelian = is_abelian(L, [scale_to_int(v) for v in zc.basis])
     rep = GenericStabilizerReport(
-        stab_basis=zc, dim=zc.dim, is_abelian=abelian, reductive_rank=rank,
-        trials=cfg.trials, coefficient_bound=cfg.coeff_bound,
-        failure_bound=2 * per_trial ** cfg.trials)
+        stab_basis=zc, dim=zc.dim, is_abelian=abelian,
+        reductive_rank=L.rank - c.dim, trials=cfg.trials,
+        coefficient_bound=cfg.coeff_bound,
+        failure_bound=2 * sz_bound(L.dim, cfg.coeff_bound, cfg.trials))
     inv = _invariants(e, cfg)
     return Verdict(abelian, AbelianStabilizer(rep), ("satake",), inv)
 
@@ -266,12 +261,10 @@ def decide(e: Embedding, cfg: DecisionConfig = DecisionConfig(),
     routes = tuple(sorted(booleans))
     if answer:
         cert = results["regular_element"].certificate
-        if not isinstance(cert, ExactRegularElement):  # pragma: no cover
-            raise AssertionError("YES verdict must carry an exact witness")
         # re-verify the witness: exact regularity and exact orthogonality
-        L = e.ambient
-        witness = list(cert.witness)
-        assert L.is_regular(witness)[0]
-        assert perp(e).contains_vector(witness)
+        if not (isinstance(cert, ExactRegularElement)
+                and e.ambient.is_regular(list(cert.witness))[0]
+                and perp(e).contains_vector(cert.witness)):
+            raise CertificateError("YES witness failed exact re-verification")
         return Verdict(True, cert, routes, inv)
     return Verdict(False, results["regular_element"].certificate, routes, inv)

@@ -69,7 +69,7 @@ def _restrict_embedding(e: Embedding, subset: tuple[int, ...],
         cols.extend(range(b0, b1))
     vectors = [[v[j] for j in cols] for v in part.basis]
     h = Subspace.span(vectors, sub_ambient.dim)
-    return Embedding(sub_ambient, h, constructor=None, validate=False)
+    return Embedding(sub_ambient, h, constructor=None)
 
 
 def _bipartitions(m: int):
@@ -116,10 +116,11 @@ def split_pair(e: Embedding) -> PairFactorization:
             factor_indices=subset,
             embedding=sub,
             strictly_indecomposable=is_strictly_indecomposable(sub)))
-    fz = PairFactorization(L, tuple(factors))
-    assert sum(f.embedding.ambient.dim for f in fz.factors) == L.dim
-    assert sum(f.embedding.dim_h for f in fz.factors) == e.dim_h
-    return fz
+    if (sum(f.embedding.ambient.dim for f in factors) != L.dim
+            or sum(f.embedding.dim_h for f in factors) != e.dim_h):
+        raise RuntimeError("factor dimensions do not add up to the pair's; "
+                           "internal error")
+    return PairFactorization(L, tuple(factors))
 
 
 def derived_subalgebra(e: Embedding) -> Subspace:
@@ -140,7 +141,7 @@ def is_strictly_indecomposable(e: Embedding) -> bool:
     if len(L.factors) == 1:
         return True
     derived = derived_subalgebra(e)
-    de = Embedding(L, derived, constructor=None, validate=False)
+    de = Embedding(L, derived, constructor=None)
     return len(_split_indices(de, tuple(range(len(L.factors))))) == 1
 
 

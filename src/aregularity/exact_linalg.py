@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 Scalar = int | Fraction
 Vector = tuple[Fraction, ...]
@@ -32,10 +32,6 @@ class DimensionError(ValueError):
 
 def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def as_vector(values: Iterable[Scalar]) -> Vector:
-    return tuple(_frac(x) for x in values)
 
 
 def clear_denominators(row: Sequence[Scalar]) -> list[int]:
@@ -88,10 +84,6 @@ def bareiss_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], lis
         prev = piv
         r += 1
     return m[:r], pivots
-
-
-def rank_int(rows: Sequence[Sequence[int]]) -> int:
-    return len(bareiss_echelon(rows)[1])
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -300,17 +292,26 @@ class Subspace:
         if not complement:
             return self
         rows = [[v[j] for j in complement] for v in self.basis]
-        coeffs = left_kernel(rows)
-        vecs = []
-        for lam in coeffs:
-            vec = [Fraction(0)] * self.ambient_dim
-            for li, bv in zip(lam, self.basis):
-                if li:
-                    for j, x in enumerate(bv):
-                        if x:
-                            vec[j] += li * x
-            vecs.append(vec)
-        return Subspace.span(vecs, self.ambient_dim)
+        return lift(left_kernel(rows), self.basis, self.ambient_dim)
+
+
+def combine(coeffs: Sequence[Scalar], rows: Sequence[Sequence[Scalar]],
+            dim: int) -> list:
+    """The vector sum(coeffs[i] * rows[i]) of length ``dim``."""
+    out: list = [0] * dim
+    for c, r in zip(coeffs, rows):
+        if c:
+            for j, v in enumerate(r):
+                if v:
+                    out[j] += c * v
+    return out
+
+
+def lift(coeffs: Sequence[Sequence[Scalar]], rows: Sequence[Sequence[Scalar]],
+         dim: int) -> Subspace:
+    """Span of the combinations of ``rows`` given by each coefficient vector,
+    e.g. a kernel over a spanning set lifted back to coordinates."""
+    return Subspace.span([combine(lam, rows, dim) for lam in coeffs], dim)
 
 
 @dataclass(frozen=True)

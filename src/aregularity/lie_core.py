@@ -482,6 +482,7 @@ def _build_algebra_cached(descs: tuple[SimpleFactorDescriptor, ...],
     )
     _fill_bracket_table(L)
     _fill_gram(L)
+    _check_form_invariance(L)
     return L
 
 
@@ -509,6 +510,30 @@ def _fill_gram(L: LieAlgebra) -> None:
             for (a, b), v in mat.items():
                 for lj, w in fd.poslookup.get((b, a), ()):
                     row[b0 + lj] = row.get(b0 + lj, 0) + scale * v * w
+
+
+def _check_form_invariance(L: LieAlgebra) -> None:
+    """Exhaustive check of K([e_i, e_j], e_m) = K(e_i, [e_j, e_m]) on all
+    basis triples.  Both sides are sparse, so only their nonzero terms are
+    enumerated.  Together with bracket closure of h this makes h-perp
+    ad(h)-stable, which ``subalgebras.perp`` relies on."""
+    gram_cols: list[dict[int, int]] = [{} for _ in range(L.dim)]
+    for i, row in enumerate(L.gram_rows):
+        for m, g in row.items():
+            gram_cols[m][i] = g
+    lhs: dict[tuple[int, int, int], int] = {}
+    rhs: dict[tuple[int, int, int], int] = {}
+    for i, row in enumerate(L.bracket_rows):
+        for j, terms in row.items():
+            for k, c in terms:
+                # [e_i, e_j] has c e_k: feeds K([e_i, e_j], e_m) at (i, j, m)
+                # and K(e_m, [e_i, e_j]) at (m, i, j)
+                for m, g in L.gram_rows[k].items():
+                    lhs[i, j, m] = lhs.get((i, j, m), 0) + c * g
+                for m, g in gram_cols[k].items():
+                    rhs[m, i, j] = rhs.get((m, i, j), 0) + g * c
+    if {t: v for t, v in lhs.items() if v} != {t: v for t, v in rhs.items() if v}:
+        raise RuntimeError("trace form is not ad-invariant on the basis; basis bug")
 
 
 def scale_to_int(vec: Sequence[Scalar]) -> list[int]:

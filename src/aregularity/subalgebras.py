@@ -31,10 +31,12 @@ glued embeddings appearing in the classification tables:
     direct_sum(parts)      factor-aligned direct sum of the above
     custom(matrices)       explicit basis matrices
 
-Genericity is randomized with explicit Schwartz-Zippel failure bounds:
-exact witnesses (kernels, brackets) are deterministic, only the claim
-"this sampled dimension is the generic minimum" carries the quantified
-failure probability reported in every GenericStabilizerReport.
+Genericity is randomized with explicit Schwartz-Zippel failure bounds.
+Every sampled stabilizer goes through one engine, ``generic_point``: the
+minimum kernel dimension over the trials, with exact checks (kernels,
+brackets) at the best sample.  Only the claim "this sampled dimension is
+the generic minimum" carries the quantified failure probability reported
+in every GenericStabilizerReport.
 """
 
 from __future__ import annotations
@@ -50,8 +52,10 @@ from .exact_linalg import (
     Subspace,
     bareiss_echelon,
     clear_denominators,
+    combine,
     kernel_from_rref,
     left_kernel,
+    lift,
     rref,
     solve_linear,
 )
@@ -94,10 +98,15 @@ class GenericStabilizerReport:
     """Sampled generic stabilizer of the h-action on the orthogonal
     complement of h.
 
-    ``failure_bound`` bounds the probability that either the stabilizer
-    dimension or the reductive rank reported here exceeds the true generic
-    value (each is a minimum over ``trials`` independent samples; per-trial
-    failure is at most dim(g) / (2 * coefficient_bound + 1))."""
+    One sampling rule (``generic_point``): the dimension is the minimum
+    over ``trials`` samples, and the basis and abelianness are exact at the
+    best sample.  A non-abelian stabilizer's reductive rank follows the
+    same rule inside the stabilizer; the Satake route instead reports the
+    exact rank z_h(c) = rank g - dim c (``cartan_subspace_stabilizer``).
+
+    ``failure_bound`` = 2 * ``sz_bound`` bounds the probability that the
+    dimension or the rank exceeds the generic value (per-trial failure is
+    at most dim(g) / (2 * coefficient_bound + 1))."""
 
     stab_basis: Subspace
     dim: int
@@ -119,8 +128,7 @@ class Embedding:
                  constructor: Optional[tuple[str, dict]] = None,
                  tags: frozenset[str] = frozenset(),
                  theta_cols: Optional[list[ElementVector]] = None,
-                 ideal_decomposition: Optional[IdealDecomposition] = None,
-                 validate: bool = True):
+                 ideal_decomposition: Optional[IdealDecomposition] = None):
         if h_basis.ambient_dim != ambient.dim:
             raise InvalidSubalgebraError("h basis lives in the wrong coordinate space")
         self.ambient = ambient
@@ -130,10 +138,9 @@ class Embedding:
         self.theta_cols = theta_cols
         self._ideals = ideal_decomposition
         self._cache: dict = {}
-        if validate:
-            self._validate_closure()
-            if theta_cols is not None:
-                self._validate_involution()
+        self._validate_closure()
+        if theta_cols is not None:
+            self._validate_involution()
 
     # -- basic data ------------------------------------------------------------
 
@@ -144,23 +151,16 @@ class Embedding:
     def h_int_rows(self) -> list[list[int]]:
         rows = self._cache.get("h_int_rows")
         if rows is None:
-            rows = [scale_to_int(v) for v in self.h_basis.basis]
+            rows = _int_rows(self.h_basis)
             self._cache["h_int_rows"] = rows
         return rows
-
-    def _h_echelon(self) -> IntEchelon:
-        ech = self._cache.get("h_echelon")
-        if ech is None:
-            ech = IntEchelon(self.h_int_rows() or [[0] * self.ambient.dim])
-            self._cache["h_echelon"] = ech
-        return ech
 
     def _validate_closure(self) -> None:
         L = self.ambient
         rows = self.h_int_rows()
         if not rows:
             return
-        ech = self._h_echelon()
+        ech = IntEchelon(rows)
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
                 br = L.bracket(rows[i], rows[j])
@@ -227,17 +227,66 @@ class Embedding:
         return self._ideals
 
 
+# -- the generic-point engine ----------------------------------------------------
+
+def sz_bound(dim: int, bound: int, trials: int) -> Fraction:
+    """Schwartz-Zippel bound for ``trials`` independent samples all missing
+    a generic point: a nonzero polynomial of degree at most ``dim`` vanishes
+    at a uniform point of [-bound, bound]^n with probability at most
+    dim / (2 * bound + 1)."""
+    return Fraction(dim, 2 * bound + 1) ** trials
+
+
+def random_combination(rng: random.Random, rows: list[list[int]], bound: int,
+                       dim: int) -> list[int]:
+    """A nonzero integer combination of ``rows`` with coefficients uniform in
+    [-bound, bound]; the zero vector when ``rows`` is empty."""
+    if not rows:
+        return [0] * dim
+    while True:
+        coeffs = [rng.randint(-bound, bound) for _ in rows]
+        if any(coeffs):
+            return combine(coeffs, rows, dim)
+
+
+def generic_point(L: LieAlgebra, rows: list[list[int]],
+                  sample_rows: list[list[int]], rng: random.Random,
+                  trials: int, bound: int) -> tuple[list[int], list[list[Fraction]], int]:
+    """Generic point x of span(sample_rows) for the centralizer in span(rows).
+
+    Draws ``trials`` samples and keeps the first one whose centralizer
+    {sum lam_i rows_i : [sum lam_i rows_i, x] = 0} has minimal dimension.
+    That dimension can only exceed the generic value, so the minimum is the
+    generic one except with probability ``sz_bound``.  Returns (x, the
+    kernel coefficient vectors over ``rows`` at x, the kernel dimension)."""
+    best: Optional[tuple[list[int], list[list[Fraction]]]] = None
+    for _ in range(max(1, trials)):
+        x = random_combination(rng, sample_rows, bound, L.dim)
+        lam = left_kernel([L.bracket(r, x) for r in rows])
+        if best is None or len(lam) < len(best[1]):
+            best = (x, lam)
+    return best[0], best[1], len(best[1])
+
+
+def is_abelian(L: LieAlgebra, rows: Sequence[Sequence]) -> bool:
+    """Exact check that the given vectors pairwise commute."""
+    return all(not any(L.bracket(rows[i], rows[j]))
+               for i in range(len(rows)) for j in range(i + 1, len(rows)))
+
+
+def _int_rows(s: Subspace) -> list[list[int]]:
+    return [scale_to_int(v) for v in s.basis]
+
+
 # -- orthogonal complement and stabilizers -------------------------------------
-
-_AD_INVARIANCE_PAIR_CUTOFF = 600
-
 
 def perp(e: Embedding) -> Subspace:
     """Annihilator of h in g under the invariant trace form.
 
-    Checks dim(h-perp) = dim g - dim h and ad(h)-stability (exhaustively up
-    to a pair-count cutoff, on a strided subsample above it; the exhaustive
-    property is exercised by the test suite on representative pairs).
+    Checks dim(h-perp) = dim g - dim h.  Stability under ad(h) needs no
+    check here: it follows from bracket closure of h (checked by
+    ``Embedding``) and invariance of the trace form (checked once per
+    ambient algebra when it is built).
     """
     cached = e._cache.get("perp")
     if cached is not None:
@@ -245,14 +294,8 @@ def perp(e: Embedding) -> Subspace:
     L = e.ambient
     if not L.is_semisimple():
         raise DegenerateFormError("ambient algebra must be semisimple")
-    h_rows = e.h_int_rows()
-    if not h_rows:
-        result = Subspace.full(L.dim)
-        e._cache["perp"] = result
-        e._cache["perp_int_rows"] = [scale_to_int(v) for v in result.basis]
-        return result
     gram_applied = []
-    for hr in h_rows:
+    for hr in e.h_int_rows():
         out = [0] * L.dim
         for k, hk in enumerate(hr):
             if hk:
@@ -260,24 +303,13 @@ def perp(e: Embedding) -> Subspace:
                     out[j] += hk * g
         gram_applied.append(out)
     rr, piv = rref(gram_applied)
-    kern = kernel_from_rref(rr, piv, L.dim)
-    result = Subspace.span(kern, L.dim)
+    result = Subspace.span(kernel_from_rref(rr, piv, L.dim), L.dim)
     if result.dim != L.dim - e.dim_h:
         raise DegenerateFormError(
             "trace form restricted to h is degenerate; input is not a "
             "reductive subalgebra of a semisimple ambient algebra")
-    perp_rows = [scale_to_int(v) for v in result.basis]
-    ech = IntEchelon(perp_rows)
-    pairs = [(i, j) for i in range(len(h_rows)) for j in range(len(perp_rows))]
-    if len(pairs) > _AD_INVARIANCE_PAIR_CUTOFF:
-        stride = len(pairs) // _AD_INVARIANCE_PAIR_CUTOFF + 1
-        pairs = pairs[::stride]
-    for i, j in pairs:
-        br = L.bracket(h_rows[i], perp_rows[j])
-        if any(br) and not ech.contains(br):
-            raise AssertionError("h-perp is not ad(h)-stable; internal error")
     e._cache["perp"] = result
-    e._cache["perp_int_rows"] = perp_rows
+    e._cache["perp_int_rows"] = _int_rows(result)
     return result
 
 
@@ -290,68 +322,19 @@ def stabilizer(e: Embedding, x: Sequence) -> Subspace:
     """The subalgebra {h in h-basis span : [h, x] = 0}, as a subspace of g."""
     L = e.ambient
     h_rows = e.h_int_rows()
-    if not h_rows:
-        return Subspace.zero(L.dim)
     x_int = scale_to_int(list(x))
-    rows = [L.bracket(hr, x_int) for hr in h_rows]
-    lam = left_kernel(rows)
-    lifted = []
-    for coeffs in lam:
-        vec = [Fraction(0)] * L.dim
-        for ci, hr in zip(coeffs, h_rows):
-            if ci:
-                for j, hv in enumerate(hr):
-                    if hv:
-                        vec[j] += ci * hv
-        lifted.append(vec)
-    return Subspace.span(lifted, L.dim)
-
-
-def _sample_int_combo(rng: random.Random, rows: list[list[int]], bound: int,
-                      dim: int) -> list[int]:
-    out = [0] * dim
-    nonzero = False
-    while not nonzero:
-        coeffs = [rng.randint(-bound, bound) for _ in rows]
-        nonzero = any(coeffs)
-        if not rows:
-            return out
-    for c, r in zip(coeffs, rows):
-        if c:
-            for j, v in enumerate(r):
-                if v:
-                    out[j] += c * v
-    return out
-
-
-def _min_dim_kernel_over_samples(
-        L: LieAlgebra, rows: list[list[int]], sample_rows: list[list[int]],
-        rng: random.Random, trials: int, bound: int) -> tuple[list[list[Fraction]], int]:
-    """Stabilizer-in-span(rows) of the generic point of span(sample_rows).
-
-    Returns (coefficient vectors over `rows` for the minimal-dimension
-    stabilizer found, that dimension)."""
-    best_lam: Optional[list[list[Fraction]]] = None
-    best_dim = len(rows) + 1
-    for _ in range(max(1, trials)):
-        x = _sample_int_combo(rng, sample_rows, bound, L.dim)
-        lam = left_kernel([L.bracket(r, x) for r in rows]) if rows else []
-        if len(lam) < best_dim:
-            best_dim = len(lam)
-            best_lam = lam
-    assert best_lam is not None or not rows
-    return best_lam or [], best_dim if rows else 0
+    return lift(left_kernel([L.bracket(hr, x_int) for hr in h_rows]), h_rows, L.dim)
 
 
 def generic_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
                        coeff_bound: int = 1 << 20) -> GenericStabilizerReport:
     """Stabilizer of a generic point of h-perp, with certified failure bound.
 
-    The stabilizer dimension of a sampled point can only exceed the generic
-    minimum, so taking the minimum over trials is correct except with the
-    reported Schwartz-Zippel probability.  Abelianness and the reductive
-    rank of the stabilizer are computed from the best sample (brackets and
-    kernels there are exact)."""
+    ``generic_point`` takes the minimum stabilizer dimension over the
+    trials; abelianness is checked exactly at the best sample, and a
+    non-abelian stabilizer gets its reductive rank as the generic
+    centralizer dimension of the stabilizer in itself, a second minimum
+    over the trials on the same random stream."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     key = ("genstab", seed, trials, coeff_bound)
@@ -361,177 +344,63 @@ def generic_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
     L = e.ambient
     rng = random.Random(seed)
     h_rows = e.h_int_rows()
-    perp_rows = _perp_int_rows(e)
-    lam, dim_stab = _min_dim_kernel_over_samples(L, h_rows, perp_rows, rng,
-                                                 trials, coeff_bound)
-    lifted = []
-    for coeffs in lam:
-        vec = [Fraction(0)] * L.dim
-        for ci, hr in zip(coeffs, h_rows):
-            if ci:
-                for j, hv in enumerate(hr):
-                    if hv:
-                        vec[j] += ci * hv
-        lifted.append(vec)
-    stab = Subspace.span(lifted, L.dim)
-    assert stab.dim == dim_stab
-    stab_rows = [scale_to_int(v) for v in stab.basis]
-    abelian = True
-    for i in range(len(stab_rows)):
-        for j in range(i + 1, len(stab_rows)):
-            if any(L.bracket(stab_rows[i], stab_rows[j])):
-                abelian = False
-                break
-        if not abelian:
-            break
-    if stab.dim == 0:
-        rank = 0
-    elif abelian:
-        rank = stab.dim
-    else:
-        _, rank = _min_dim_kernel_over_samples(L, stab_rows, stab_rows, rng,
-                                               trials, coeff_bound)
-    per_trial = Fraction(L.dim, 2 * coeff_bound + 1)
-    failure = 2 * per_trial ** trials
+    _, lam, dim_stab = generic_point(L, h_rows, _perp_int_rows(e), rng,
+                                     trials, coeff_bound)
+    stab = lift(lam, h_rows, L.dim)
+    if stab.dim != dim_stab:
+        raise RuntimeError("lifted stabilizer lost dimension; internal error")
+    stab_rows = _int_rows(stab)
+    abelian = is_abelian(L, stab_rows)
+    rank = stab.dim
+    if not abelian:
+        _, _, rank = generic_point(L, stab_rows, stab_rows, rng, trials,
+                                   coeff_bound)
     report = GenericStabilizerReport(
         stab_basis=stab, dim=stab.dim, is_abelian=abelian,
         reductive_rank=rank, trials=trials, coefficient_bound=coeff_bound,
-        failure_bound=failure)
+        failure_bound=2 * sz_bound(L.dim, coeff_bound, trials))
     e._cache[key] = report
     return report
 
 
 # -- symmetric-pair machinery ---------------------------------------------------
 
-def q_space(e: Embedding) -> Subspace:
-    """The -1 eigenspace of the involution (complement of h)."""
-    if e.theta_cols is None:
-        raise InvolutionError("embedding carries no involution")
-    L = e.ambient
-    rows = [[e.theta_cols[j][i] + (1 if i == j else 0) for j in range(L.dim)]
-            for i in range(L.dim)]
-    rr, piv = rref(rows)
-    kern = kernel_from_rref(rr, piv, L.dim)
-    q = Subspace.span(kern, L.dim)
-    if q.dim != L.dim - e.dim_h:
-        raise InvolutionError("eigenspace dimensions do not add up")
-    return q
-
-
-def maximal_abelian_in_q(e: Embedding, seed: int = 0, trials: int = 8,
-                         coeff_bound: int = 1 << 20) -> Subspace:
-    """A maximal abelian subspace of q, as z_q(x) for a generic x in q.
-
-    The returned subspace is exactly verified to be abelian; dimension
-    minimality over trials certifies genericity of the witness sample."""
-    L = e.ambient
-    q = q_space(e)
-    q_rows = [scale_to_int(v) for v in q.basis]
-    rng = random.Random(seed)
-    best: Optional[Subspace] = None
-    for _ in range(max(1, trials)):
-        x = _sample_int_combo(rng, q_rows, coeff_bound, L.dim)
-        lam = left_kernel([L.bracket(r, x) for r in q_rows])
-        lifted = []
-        for coeffs in lam:
-            vec = [Fraction(0)] * L.dim
-            for ci, qr in zip(coeffs, q_rows):
-                if ci:
-                    for j, qv in enumerate(qr):
-                        if qv:
-                            vec[j] += ci * qv
-            lifted.append(vec)
-        cand = Subspace.span(lifted, L.dim)
-        cand_rows = [scale_to_int(v) for v in cand.basis]
-        abelian = all(not any(L.bracket(cand_rows[i], cand_rows[j]))
-                      for i in range(len(cand_rows))
-                      for j in range(i + 1, len(cand_rows)))
-        if abelian and (best is None or cand.dim < best.dim):
-            best = cand
-    if best is None:
-        raise GenericityError("no abelian centralizer found in q; retry with a new seed")
-    return best
-
-
 def cartan_subspace_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
                                coeff_bound: int = 1 << 20) -> tuple[Subspace, Subspace]:
-    """(c, z_h(c)) for a maximal abelian subspace c of the (-1)-eigenspace.
+    """(c, z_h(c)) for a maximal abelian subspace c of the (-1)-eigenspace q.
 
-    For a generic sample x in q, c = z_q(x) is the maximal abelian subspace
-    through x and z_h(x) = z_h(c).  Both properties are verified exactly at
-    the sample (c abelian; [z_h(x), c] = 0, which together with the trivial
-    containment z_h(c) <= z_h(x) forces equality), so the only sampled
-    claim is minimality of dim z_h(x), taken over the trials."""
+    q is h-perp (checked exactly: the involution is -1 on every perp row).
+    ``generic_point`` picks the sample x in q of minimal dim z_h(x), the
+    same sampling rule as ``generic_stabilizer``.  At that one sample
+    c = z_q(x) and two exact checks follow: c is abelian, and
+    [z_h(x), c] = 0, which with the trivial containment z_h(c) <= z_h(x)
+    gives z_h(x) = z_h(c).  A failed check raises ``GenericityError``.
+    Since z_g(c) = z_h(c) + c is a Levi subalgebra with c central, the
+    reductive rank of z_h(c) is exactly rank g - dim c."""
     key = ("cartan_stab", seed, trials, coeff_bound)
     cached = e._cache.get(key)
     if cached is not None:
         return cached
+    if e.theta_cols is None:
+        raise InvolutionError("embedding carries no involution")
     L = e.ambient
-    q = q_space(e)
-    q_rows = [scale_to_int(v) for v in q.basis]
+    q_rows = _perp_int_rows(e)
+    for r in q_rows:
+        if any(a + b for a, b in zip(e.apply_theta(r), r)):
+            raise InvolutionError("h-perp is not the (-1)-eigenspace of the involution")
     h_rows = e.h_int_rows()
-    rng = random.Random(seed)
-    best: Optional[tuple[Subspace, Subspace]] = None
-    for _ in range(max(1, trials)):
-        x = _sample_int_combo(rng, q_rows, coeff_bound, L.dim)
-        c = _lift(L, left_kernel([L.bracket(r, x) for r in q_rows]), q_rows)
-        c_rows = [scale_to_int(v) for v in c.basis]
-        if any(any(L.bracket(c_rows[i], c_rows[j]))
-               for i in range(len(c_rows)) for j in range(i + 1, len(c_rows))):
-            continue
-        zx = _lift(L, left_kernel([L.bracket(r, x) for r in h_rows]), h_rows)
-        z_rows = [scale_to_int(v) for v in zx.basis]
-        if any(any(L.bracket(zr, cr)) for zr in z_rows for cr in c_rows):
-            continue
-        if best is None or zx.dim < best[1].dim:
-            best = (c, zx)
-    if best is None:
+    x, lam, _ = generic_point(L, h_rows, q_rows, random.Random(seed), trials,
+                              coeff_bound)
+    zx = lift(lam, h_rows, L.dim)
+    c = lift(left_kernel([L.bracket(r, x) for r in q_rows]), q_rows, L.dim)
+    c_rows = _int_rows(c)
+    if not is_abelian(L, c_rows) or any(
+            any(L.bracket(zr, cr)) for zr in _int_rows(zx) for cr in c_rows):
         raise GenericityError(
-            "no sample produced an abelian centralizer in q; retry with a "
-            "different seed")
-    e._cache[key] = best
-    return best
-
-
-def _lift(L: LieAlgebra, coeff_vectors, rows) -> Subspace:
-    lifted = []
-    for coeffs in coeff_vectors:
-        vec = [Fraction(0)] * L.dim
-        for ci, r in zip(coeffs, rows):
-            if ci:
-                for j, v in enumerate(r):
-                    if v:
-                        vec[j] += ci * v
-        lifted.append(vec)
-    return Subspace.span(lifted, L.dim)
-
-
-def centralizer_in_h(e: Embedding, c: Subspace) -> Subspace:
-    """z_h(c): elements of h commuting with every vector of c."""
-    L = e.ambient
-    h_rows = e.h_int_rows()
-    c_rows = [scale_to_int(v) for v in c.basis]
-    if not h_rows:
-        return Subspace.zero(L.dim)
-    if not c_rows:
-        return e.h_basis
-    stacked = []
-    for hr in h_rows:
-        row: list[int] = []
-        for cr in c_rows:
-            row.extend(int(v) for v in L.bracket(hr, cr))
-        stacked.append(row)
-    lam = left_kernel(stacked)
-    lifted = []
-    for coeffs in lam:
-        vec = [Fraction(0)] * L.dim
-        for ci, hr in zip(coeffs, h_rows):
-            if ci:
-                for j, hv in enumerate(hr):
-                    if hv:
-                        vec[j] += ci * hv
-        lifted.append(vec)
-    return Subspace.span(lifted, L.dim)
+            "the best sample in q is not generic (z_q(x) is not abelian or "
+            "does not commute with z_h(x)); retry with a different seed")
+    e._cache[key] = (c, zx)
+    return c, zx
 
 
 # -- reductive decomposition ----------------------------------------------------
@@ -547,7 +416,7 @@ def decompose_reductive(e_or_pair, subspace: Optional[Subspace] = None) -> Ideal
         L, h = e_or_pair.ambient, e_or_pair.h_basis
     else:
         L, h = e_or_pair, subspace
-    h_rows = [scale_to_int(v) for v in h.basis]
+    h_rows = _int_rows(h)
     n_h = len(h_rows)
     if n_h == 0:
         return IdealDecomposition(Subspace.zero(L.dim), ())
@@ -561,19 +430,9 @@ def decompose_reductive(e_or_pair, subspace: Optional[Subspace] = None) -> Ideal
                 eq_rows.append(row)
     if eq_rows:
         rr, piv = rref(eq_rows)
-        lam = kernel_from_rref(rr, piv, n_h)
+        center = lift(kernel_from_rref(rr, piv, n_h), h_rows, L.dim)
     else:
-        lam = [[Fraction(1 if i == k else 0) for i in range(n_h)] for k in range(n_h)]
-    center_vecs = []
-    for coeffs in lam:
-        vec = [Fraction(0)] * L.dim
-        for ci, hr in zip(coeffs, h_rows):
-            if ci:
-                for j, hv in enumerate(hr):
-                    if hv:
-                        vec[j] += ci * hv
-        center_vecs.append(vec)
-    center = Subspace.span(center_vecs, L.dim)
+        center = h
     derived_vecs = [brackets[i][j] for i in range(n_h) for j in range(i + 1, n_h)]
     derived = Subspace.span([v for v in derived_vecs if any(v)], L.dim)
     if center.dim + derived.dim != n_h or center.intersect(derived).dim != 0:
@@ -584,7 +443,7 @@ def decompose_reductive(e_or_pair, subspace: Optional[Subspace] = None) -> Ideal
 
 
 def _ad_on_subspace(L: LieAlgebra, sub: Subspace) -> list[list[list[Fraction]]]:
-    rows = [scale_to_int(v) for v in sub.basis]
+    rows = _int_rows(sub)
     d = len(rows)
     mats = []
     for i in range(d):
@@ -756,22 +615,12 @@ def _split_semisimple(L: LieAlgebra, derived: Subspace,
         if len(set(roots)) < 2:
             continue
         pieces: list[Subspace] = []
-        rows = [scale_to_int(v) for v in derived.basis]
+        rows = _int_rows(derived)
         for lam in sorted(set(roots)):
             shifted = [[C[r][s] - (lam if r == s else 0) for s in range(d)]
                        for r in range(d)]
             rr, piv = rref(shifted)
-            kern = kernel_from_rref(rr, piv, d)
-            vecs = []
-            for coeff in kern:
-                vec = [Fraction(0)] * L.dim
-                for ci, dr in zip(coeff, rows):
-                    if ci:
-                        for j, dv in enumerate(dr):
-                            if dv:
-                                vec[j] += ci * dv
-                vecs.append(vec)
-            piece = Subspace.span(vecs, L.dim)
+            piece = lift(kernel_from_rref(rr, piv, d), rows, L.dim)
             if piece.dim:
                 pieces.extend(_split_semisimple(L, piece, rng))
         if sum(p.dim for p in pieces) == d:

@@ -1,5 +1,11 @@
 """The three decision routes, their consensus, and the Knop invariants."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from aregularity.lie_core import build_algebra
@@ -154,3 +160,31 @@ class TestDecideConsensus:
         assert v.a_regular
         assert v.invariants.c == (L.dim - L.rank) // 2
         assert v.invariants.rk == L.rank
+
+
+def test_yes_witness_recheck_survives_python_O():
+    """The YES re-verification is explicit code: under ``python -O`` a
+    substituted non-regular witness must still make ``decide`` raise."""
+    script = textwrap.dedent("""
+        import sys
+        from aregularity import criteria
+        from aregularity.lie_core import build_algebra
+        from aregularity.subalgebras import embed
+        if not sys.flags.optimize:
+            sys.exit(3)
+        criteria.find_regular_witness = lambda e, cfg: [0] * e.ambient.dim
+        e = embed(build_algebra([("A", 2)]), "so_in_sl", {"n": 3})
+        cfg = criteria.DecisionConfig(seed=2, trials=4, coeff_bound=1 << 10)
+        try:
+            criteria.decide(e, cfg, use_catalog=False)
+        except criteria.CertificateError:
+            sys.exit(0)
+        sys.exit(4)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])

@@ -1,5 +1,6 @@
 """Structure tests for the split-form classical Lie algebra constructions."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from aregularity.lie_core import (
     LieAlgebra,
     SimpleFactorDescriptor,
     UnsupportedTypeError,
+    _check_form_invariance,
     build_algebra,
 )
 
@@ -144,6 +146,17 @@ def test_killing_symmetry_and_invariance(factors, rng):
         lhs = L.killing_form(L.bracket(x, y), z)
         rhs = -L.killing_form(y, L.bracket(x, z))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (2, 5)])
+def test_form_invariance_check_rejects_perturbed_gram(entry):
+    L = build_algebra([A2])
+    _check_form_invariance(L)
+    i, j = entry
+    gram = [dict(row) for row in L.gram_rows]
+    gram[i][j] = gram[i].get(j, 0) + 1
+    with pytest.raises(RuntimeError, match="not ad-invariant"):
+        _check_form_invariance(dataclasses.replace(L, gram_rows=gram))
 
 
 @pytest.mark.parametrize("factors", [[A1], [A2], [B2], [C2], [D3], [("A", 3)]])

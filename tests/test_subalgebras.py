@@ -5,18 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from aregularity.exact_linalg import Subspace
+from aregularity.catalog import default_catalog
+from aregularity.criteria import DecisionConfig, satake_route
+from aregularity.exact_linalg import RationalMatrix, Subspace, rank_and_kernel
 from aregularity.lie_core import build_algebra
+from aregularity import subalgebras
 from aregularity.subalgebras import (
     BracketClosureError,
     Embedding,
-    centralizer_in_h,
+    GenericityError,
+    cartan_subspace_stabilizer,
     decompose_reductive,
     embed,
     generic_stabilizer,
-    maximal_abelian_in_q,
+    is_abelian,
     perp,
-    q_space,
     stabilizer,
 )
 
@@ -280,10 +283,55 @@ class TestDecompose:
         assert total == e.h_basis
 
 
+def symmetric_pairs(max_rank):
+    """Every catalog instance with an involution at ambient rank <= max_rank,
+    plus the symmetric constructors the catalog does not reach there."""
+    cat = default_catalog()
+    for table in ("T1_h_ess", "T2_levi", "T3_symmetric", "T4_spherical",
+                  "T5_not_regular"):
+        for row, params in cat.enumerate(table, max_rank):
+            call = row.constructor_call(params)
+            descs = row.ambient_descriptors(params)
+            if call is not None and descs is not None:
+                e = embed(build_algebra(descs), call[0], call[1])
+                if e.theta_cols is not None:
+                    yield e
+    yield embed(sl(4), "sp_in_sl", {"n": 2})
+    yield embed(sp(6), "sp_block", {"parts": [2, 1]})
+    yield embed(sl(3), "custom", {"involution": {"kind": "neg_transpose"},
+                                  "matrices": [[[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+                                               [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+                                               [[0, 0, 0], [0, 0, 1], [0, -1, 0]]]})
+    yield embed(build_algebra([("A", 2), ("A", 1)]), "direct_sum", {"parts": [
+        {"constructor": "so_in_sl", "params": {"n": 3}, "factors": 1},
+        {"constructor": "block_sgl", "params": {"p": 1, "q": 1}, "factors": 1},
+    ]})
+
+
 class TestSymmetric:
-    def test_q_space_dim(self):
-        e = embed(sl(4), "block_sgl", {"p": 2, "q": 2})
-        assert q_space(e).dim == e.ambient.dim - e.dim_h
+    def test_perp_is_minus_one_eigenspace(self):
+        for e in symmetric_pairs(4):
+            n = e.ambient.dim
+            theta_plus_one = [[e.theta_cols[j][i] + (i == j) for j in range(n)]
+                              for i in range(n)]
+            _, q = rank_and_kernel(RationalMatrix.from_rows(theta_plus_one))
+            assert perp(e) == q, e.constructor
+
+    def test_satake_exact_rank_matches_sampled_rank(self):
+        cfg = DecisionConfig(seed=3, trials=4, coeff_bound=1 << 10)
+        for e in symmetric_pairs(4):
+            exact = satake_route(e, cfg).certificate.report.reductive_rank
+            rep = generic_stabilizer(e, seed=cfg.seed, trials=cfg.trials,
+                                     coeff_bound=cfg.coeff_bound)
+            assert exact == rep.reductive_rank, e.constructor
+
+    def test_non_generic_best_sample_raises(self, monkeypatch):
+        # every sample is x = 0, where z_q(x) = q is not abelian
+        monkeypatch.setattr(subalgebras, "random_combination",
+                            lambda rng, rows, bound, dim: [0] * dim)
+        e = embed(sl(3), "so_in_sl", {"n": 3})
+        with pytest.raises(GenericityError):
+            cartan_subspace_stabilizer(e, seed=5, trials=2, coeff_bound=1 << 10)
 
     @pytest.mark.parametrize("maker", [
         lambda: embed(sl(3), "so_in_sl", {"n": 3}),
@@ -293,15 +341,18 @@ class TestSymmetric:
     ])
     def test_cartan_subspace_matches_generic_stabilizer(self, maker):
         e = maker()
-        c = maximal_abelian_in_q(e, seed=5, trials=4, coeff_bound=1 << 10)
-        zc = centralizer_in_h(e, c)
-        rep = generic_stabilizer(e, seed=11, trials=4, coeff_bound=1 << 10)
-        assert zc.dim == rep.dim
         L = e.ambient
-        rows = [list(v) for v in zc.basis]
-        abelian = all(not any(L.bracket(rows[i], rows[j]))
-                      for i in range(len(rows)) for j in range(i + 1, len(rows)))
-        assert abelian == rep.is_abelian
+        c, zc = cartan_subspace_stabilizer(e, seed=5, trials=4, coeff_bound=1 << 10)
+        rep = generic_stabilizer(e, seed=11, trials=4, coeff_bound=1 << 10)
+        assert c.dim > 0 and perp(e).contains_subspace(c)
+        assert is_abelian(L, [list(v) for v in c.basis])
+        # zc is exactly the centralizer of c in h
+        z = e.h_basis
+        for v in c.basis:
+            z = z.intersect(stabilizer(e, v))
+        assert zc == z
+        assert zc.dim == rep.dim
+        assert is_abelian(L, [list(v) for v in zc.basis]) == rep.is_abelian
 
 
 class TestConstructorDecompositions:
