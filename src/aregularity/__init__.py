@@ -7,7 +7,7 @@ several independent exact/certified-randomized criteria, cross-checks the
 embedded classification tables, and constructs regular Slodowy slices.
 """
 
-from .exact_linalg import RationalMatrix, Subspace, rank_and_kernel, solve_linear, subspace_ops
+from .exact_linalg import Subspace, kernel, solve_linear
 from .lie_core import LieAlgebra, SimpleFactorDescriptor, UnsupportedTypeError, build_algebra
 from .subalgebras import (
     Embedding,
@@ -43,11 +43,9 @@ from .slodowy import (
 )
 
 __all__ = [
-    "RationalMatrix",
     "Subspace",
-    "rank_and_kernel",
+    "kernel",
     "solve_linear",
-    "subspace_ops",
     "LieAlgebra",
     "SimpleFactorDescriptor",
     "UnsupportedTypeError",

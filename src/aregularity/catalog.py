@@ -387,8 +387,8 @@ def verify_row(row: CatalogRow, params: dict,
     """Rebuild a constructible row and compare the computed verdict.
 
     Rows without constructors are reported as skipped, not failed.  The
-    decision runs with the catalog route disabled so the comparison is
-    against the independent computational routes only."""
+    decision runs without a catalog, so the comparison is against the
+    independent computational routes only."""
     call = row.constructor_call(params)
     descs = row.ambient_descriptors(params)
     if call is None or descs is None:
@@ -396,7 +396,7 @@ def verify_row(row: CatalogRow, params: dict,
                                None, row.verdict, row.informational)
     ambient = build_algebra(descs)
     e = embed(ambient, call[0], call[1])
-    computed = decide(e, cfg, use_catalog=False)
+    computed = decide(e, cfg)
     expected = True if row.verdict is None else row.verdict
     return RowVerification(row.row_id, dict(params), "verified",
                            computed.a_regular == expected, computed,

@@ -39,15 +39,12 @@ import sys
 import time
 from fractions import Fraction
 
-from .catalog import AmbiguousMatchError, Catalog, CatalogChecksumError, verify_row
+from .catalog import AmbiguousMatchError, Catalog, default_catalog, verify_row
 from .criteria import (
-    AbelianStabilizer,
     DecisionConfig,
     ExactRegularElement,
-    Numerical,
     RandomizedNegative,
     RouteDisagreementError,
-    TableRow,
     Verdict,
     decide,
 )
@@ -80,10 +77,11 @@ def _vec(v):
 
 
 def _parse_entry(x):
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (int,)):
-        return Fraction(x)
+    if isinstance(x, (int, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise DescriptorError(f"matrix entries must be integers or 'p/q' strings, got {x!r}")
 
 
@@ -135,20 +133,12 @@ def load_pair(doc: dict, field_path: str = "") -> Embedding:
 
 
 def _certificate_summary(cert) -> dict:
+    """``decide`` returns an exact witness for YES, a randomized bound for NO."""
     if isinstance(cert, ExactRegularElement):
         return {"kind": "exact_regular_element", "witness": _vec(cert.witness)}
-    if isinstance(cert, RandomizedNegative):
-        return {"kind": "randomized_negative",
-                "failure_bound": _num(cert.failure_bound),
-                "failure_bound_float": float(cert.failure_bound)}
-    if isinstance(cert, AbelianStabilizer):
-        return {"kind": "abelian_stabilizer", "dim": cert.report.dim,
-                "is_abelian": cert.report.is_abelian}
-    if isinstance(cert, Numerical):
-        return {"kind": "numerical", "c": cert.c, "rk": cert.rk}
-    if isinstance(cert, TableRow):
-        return {"kind": "table", "row": cert.row_id, "params": cert.params}
-    return {"kind": "unknown"}
+    return {"kind": "randomized_negative",
+            "failure_bound": _num(cert.failure_bound),
+            "failure_bound_float": float(cert.failure_bound)}
 
 
 def _verdict_block(v: Verdict) -> dict:
@@ -177,7 +167,7 @@ def _cfg(args) -> DecisionConfig:
 
 
 def _catalog(args) -> Catalog:
-    return Catalog.load(args.catalog)
+    return default_catalog() if args.catalog is None else Catalog.load(args.catalog)
 
 
 def cmd_decide(args) -> int:
@@ -188,12 +178,12 @@ def cmd_decide(args) -> int:
     cfg = _cfg(args)
     cat = _catalog(args)
     fz = split_pair(e)
-    per_factor = [decide(f.embedding, cfg.reseeded(i), use_catalog=args.catalog is None)
+    per_factor = [decide(f.embedding, cfg.reseeded(i), cat)
                   for i, f in enumerate(fz.factors)]
     verdict = combined_verdict(fz, per_factor) if len(fz.factors) > 1 else per_factor[0]
     try:
         hit = cat.lookup(e)
-    except AmbiguousMatchError as exc:
+    except AmbiguousMatchError:
         hit = None
     catalog_match = None
     if hit is not None:
@@ -432,15 +422,17 @@ def main(argv=None) -> int:
                           "routes": exc.routes}, sort_keys=True))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISAGREE
-    except (DescriptorError, CatalogChecksumError, UnsupportedTypeError) as exc:
+    except (AmbiguousMatchError, OSError, ValueError, RuntimeError) as exc:
+        # ValueError covers DescriptorError, UnsupportedTypeError and JSON
+        # decoding errors; RuntimeError covers CatalogChecksumError
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
                          sort_keys=True))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, json.JSONDecodeError, ValueError, RuntimeError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
-                         sort_keys=True))
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # noqa: BLE001 - every input ends in JSON
+        print(json.dumps({"error": "internal_error",
+                          "message": f"{type(exc).__name__}: {exc}"}, sort_keys=True))
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -9,11 +9,12 @@ wrong construction fails loudly at build time.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .exact_linalg import Subspace, left_kernel, rref
+from .exact_linalg import Subspace, combine, left_kernel, rref
 from .lie_core import (
     LieAlgebra,
     SimpleFactorDescriptor,
@@ -31,7 +32,6 @@ class _Blueprint:
     matrices: list[SparseMatrix] = field(default_factory=list)
     center: list[SparseMatrix] = field(default_factory=list)
     ideal_groups: list[list[SparseMatrix]] = field(default_factory=list)
-    tags: set[str] = field(default_factory=set)
     # involution spec: ("neg_transpose",), ("conj", S_dense), ("swap",),
     # or None when the embedding is not symmetric
     theta: Optional[tuple] = None
@@ -176,15 +176,21 @@ def _orthogonal_split(m: int, p: int, q: int) -> tuple[list, list]:
     return v1, v2
 
 
+def _inverse(s: list[list], what: str) -> list[list[Fraction]]:
+    """Inverse of a square matrix, by row reduction of [s | I]."""
+    n = len(s)
+    rr, piv = rref([list(row) + [Fraction(i == j) for j in range(n)]
+                    for i, row in enumerate(s)])
+    if piv != list(range(n)):
+        raise InvalidSubalgebraError(f"{what} is singular")
+    return [row[n:] for row in rr]
+
+
 def _projector(m: int, v1: list, v2: list) -> list[list[Fraction]]:
     """Projection onto span(v1) along span(v2), as a dense m x m matrix."""
     cols = v1 + v2
-    aug = [[cols[j][i] for j in range(m)] + [Fraction(1 if i == j else 0)
-           for j in range(m)] for i in range(m)]
-    rr, piv = rref(aug)
-    if piv != list(range(m)):
-        raise InvalidSubalgebraError("splitting vectors are not a basis")
-    binv = [row[m:] for row in rr]
+    binv = _inverse([[cols[j][i] for j in range(m)] for i in range(m)],
+                    "the matrix of splitting vectors")
     out = [[Fraction(0)] * m for _ in range(m)]
     for i in range(m):
         for j in range(m):
@@ -231,7 +237,7 @@ def _c_levi(ambient: LieAlgebra, blocks: Sequence[int]) -> _Blueprint:
     _expect_factors(ambient, [("A", n - 1)], "levi")
     if any(b < 1 for b in blocks) or len(blocks) < 1:
         raise ValueError("levi blocks must be positive")
-    bp = _Blueprint(tags={"levi"})
+    bp = _Blueprint()
     off = 0
     for b in blocks:
         if b >= 2:
@@ -254,7 +260,6 @@ def _c_levi(ambient: LieAlgebra, blocks: Sequence[int]) -> _Blueprint:
 
 def _c_block_sgl(ambient: LieAlgebra, p: int, q: int) -> _Blueprint:
     bp = _c_levi(ambient, [p, q])
-    bp.tags.add("symmetric")
     signs = [1] * p + [-1] * q
     bp.theta = ("conj_signs", signs)
     return bp
@@ -262,7 +267,7 @@ def _c_block_sgl(ambient: LieAlgebra, p: int, q: int) -> _Blueprint:
 
 def _c_block_ss(ambient: LieAlgebra, p: int, q: int) -> _Blueprint:
     _expect_factors(ambient, [("A", p + q - 1)], "block_ss")
-    bp = _Blueprint(tags={"spherical"})
+    bp = _Blueprint()
     if p >= 2:
         g1 = _sl_block(0, p)
         bp.ideal_groups.append(g1)
@@ -287,7 +292,7 @@ def _c_block_one(ambient: LieAlgebra, k: int) -> _Blueprint:
 
 def _c_so_in_sl(ambient: LieAlgebra, n: int) -> _Blueprint:
     _expect_factors(ambient, [("A", n - 1)], "so_in_sl")
-    bp = _Blueprint(tags={"symmetric"})
+    bp = _Blueprint()
     group = []
     for a in range(n):
         for b in range(a + 1, n):
@@ -313,52 +318,22 @@ def _c_sp_in_sl(ambient: LieAlgebra, n: int) -> _Blueprint:
     bp.ideal_groups.append(group)
     bp.matrices.extend(group)
     if fam.matrix_size == 2 * n:
-        bp.tags.add("symmetric")
         bp.theta = ("sp_transpose", n)
-    else:
-        bp.tags.add("spherical")
     return bp
 
 
 def _c_sp_plus_center(ambient: LieAlgebra, n: int) -> _Blueprint:
     _expect_factors(ambient, [("A", 2 * n)], "sp_plus_center")
     bp = _c_sp_in_sl(ambient, n)
-    bp.tags.add("spherical")
     z = _diag({i: 1 for i in range(2 * n)} | {2 * n: -2 * n})
     bp.center.append(z)
     bp.matrices.append(z)
     return bp
 
 
-def _c_gl_in_sp(ambient: LieAlgebra, n: int) -> _Blueprint:
-    _expect_factors(ambient, [("C", n)], "gl_in_sp")
-    m = 2 * n
-    bp = _Blueprint(tags={"symmetric", "levi"})
-    ideal = []
-    for a in range(n):
-        for b in range(n):
-            mat = {(a, b): 1, (m - 1 - b, m - 1 - a): -1}
-            if a == b:
-                bp.matrices.append(mat)
-            else:
-                ideal.append(mat)
-                bp.matrices.append(mat)
-    for a in range(n - 1):
-        ideal.append(_merge({(a, a): 1, (m - 1 - a, m - 1 - a): -1},
-                            {(a + 1, a + 1): -1, (m - 2 - a, m - 2 - a): 1}))
-    z = _diag({a: 1 for a in range(n)} | {m - 1 - a: -1 for a in range(n)})
-    bp.center.append(z)
-    if n >= 2:
-        bp.ideal_groups.append(ideal)
-    bp.theta = ("conj_signs", [1] * n + [-1] * n)
-    return bp
-
-
-def _c_gl_in_so(ambient: LieAlgebra, m: int) -> _Blueprint:
-    fam = ambient.factors[0]
-    if len(ambient.factors) != 1 or fam.family not in ("B", "D") or \
-            fam.matrix_size != m:
-        raise InvalidSubalgebraError("gl_in_so needs ambient so(m)")
+def _gl_levi(m: int) -> _Blueprint:
+    """gl(n), n = m // 2, acting on the first n coordinates of C^m and dually
+    on the last n (the antidiagonal forms pair them); symmetric for even m."""
     n = m // 2
     bp = _Blueprint()
     ideal = []
@@ -376,12 +351,21 @@ def _c_gl_in_so(ambient: LieAlgebra, m: int) -> _Blueprint:
     if n >= 2:
         bp.ideal_groups.append(ideal)
     if m % 2 == 0:
-        bp.tags.add("symmetric")
-        signs = [1] * n + [-1] * n
-        bp.theta = ("conj_signs", signs)
-    else:
-        bp.tags.add("spherical")
+        bp.theta = ("conj_signs", [1] * n + [-1] * n)
     return bp
+
+
+def _c_gl_in_sp(ambient: LieAlgebra, n: int) -> _Blueprint:
+    _expect_factors(ambient, [("C", n)], "gl_in_sp")
+    return _gl_levi(2 * n)
+
+
+def _c_gl_in_so(ambient: LieAlgebra, m: int) -> _Blueprint:
+    fam = ambient.factors[0]
+    if len(ambient.factors) != 1 or fam.family not in ("B", "D") or \
+            fam.matrix_size != m:
+        raise InvalidSubalgebraError("gl_in_so needs ambient so(m)")
+    return _gl_levi(m)
 
 
 def _c_so_block(ambient: LieAlgebra, p: int, q: int) -> _Blueprint:
@@ -396,7 +380,7 @@ def _c_so_block(ambient: LieAlgebra, p: int, q: int) -> _Blueprint:
     expected = p * (p - 1) // 2 + q * (q - 1) // 2
     if len(h_vecs) != expected:
         raise InvalidSubalgebraError("so_block stabilizer has unexpected dimension")
-    bp = _Blueprint(tags={"symmetric"})
+    bp = _Blueprint()
     bp.matrices = [ambient.matrix_of(v) for v in h_vecs]
     s_dense = [[2 * proj[i][j] - (1 if i == j else 0) for j in range(m)]
                for i in range(m)]
@@ -428,16 +412,7 @@ def _so_block_pieces(ambient, h_vecs, v1, v2, p, q):
                         img[a] += val * w[b]
                 row.extend(img)
             rows.append(row)
-        lam = left_kernel(rows)
-        part_vecs = []
-        for coeffs in lam:
-            vec = [Fraction(0)] * ambient.dim
-            for c, v in zip(coeffs, h_vecs):
-                if c:
-                    for j, x in enumerate(v):
-                        if x:
-                            vec[j] += c * x
-            part_vecs.append(vec)
+        part_vecs = [combine(lam, h_vecs, ambient.dim) for lam in left_kernel(rows)]
         if size == 2:
             center.extend(ambient.matrix_of(v) for v in part_vecs)
         elif size == 4:
@@ -485,7 +460,7 @@ def _c_so_diag_pair(ambient: LieAlgebra, n: int) -> _Blueprint:
             W.append(vec)
     first = _so_in_subspace(m1, W, n, 0)
     second = [_shift(mat, m1) for mat in _so_standard_basis(n)]
-    bp = _Blueprint(tags={"spherical"})
+    bp = _Blueprint()
     group = [_merge(a, b) for a, b in zip(first, second)]
     bp.matrices.extend(group)
     bp.ideal_groups.append(group)
@@ -495,7 +470,7 @@ def _c_so_diag_pair(ambient: LieAlgebra, n: int) -> _Blueprint:
 def _c_sl_gl_pair(ambient: LieAlgebra, n: int) -> _Blueprint:
     _expect_factors(ambient, [("A", n), ("A", n - 1)], "sl_gl_pair")
     off2 = n + 1
-    bp = _Blueprint(tags={"spherical"})
+    bp = _Blueprint()
     group = []
     for mat in _sl_block(0, n):
         group.append(_merge(mat, _shift(mat, off2)))
@@ -512,7 +487,7 @@ def _c_diagonal(ambient: LieAlgebra, family: str, rank: int) -> _Blueprint:
     desc = SimpleFactorDescriptor(family, rank)
     _expect_factors(ambient, [(family, rank)] * 2, "diagonal")
     size = desc.matrix_size
-    bp = _Blueprint(tags={"symmetric"})
+    bp = _Blueprint()
     group = []
     for mat in _factor_data(desc).basis:
         group.append(_merge(mat, _shift(mat, size)))
@@ -536,7 +511,6 @@ def _c_sp_block(ambient: LieAlgebra, parts: Sequence[int]) -> _Blueprint:
         bp.matrices.extend(group)
         start += k
     if len(parts) == 2:
-        bp.tags.add("symmetric")
         signs = [0] * (2 * n)
         for a in range(parts[0]):
             signs[a] = signs[2 * n - 1 - a] = 1
@@ -560,10 +534,6 @@ def _c_sp_sub_center(ambient: LieAlgebra, n: int) -> _Blueprint:
     return bp
 
 
-def _sp2_basis() -> list[SparseMatrix]:
-    return _factor_data(SimpleFactorDescriptor("C", 1)).basis
-
-
 def _glued_sp(ambient: LieAlgebra, k: int,
               locations: list[tuple[int, list[int]]]) -> list[SparseMatrix]:
     """sp(2k) embedded diagonally across several factor locations.
@@ -581,7 +551,7 @@ def _glued_sp(ambient: LieAlgebra, k: int,
 
 def _c_sp_diag2(ambient: LieAlgebra, m: int, n: int) -> _Blueprint:
     _expect_factors(ambient, [("C", m), ("C", n)], "sp_diag2")
-    bp = _Blueprint(tags={"spherical"})
+    bp = _Blueprint()
     off2 = ambient.factor_matrix_offsets[1]
     if m >= 2:
         g = _sp_remap(m - 1, range(m - 1), m, 0)
@@ -601,7 +571,7 @@ def _c_sp4_diag(ambient: LieAlgebra, n: int) -> _Blueprint:
     _expect_factors(ambient, [("C", n), ("C", 2)], "sp4_diag")
     if n < 3:
         raise ValueError("sp4_diag needs n >= 3")
-    bp = _Blueprint(tags={"spherical"})
+    bp = _Blueprint()
     if n >= 3:
         g = _sp_remap(n - 2, range(n - 2), n, 0)
         if g:
@@ -615,7 +585,7 @@ def _c_sp4_diag(ambient: LieAlgebra, n: int) -> _Blueprint:
 
 def _c_sp_diag3(ambient: LieAlgebra, l: int, m: int, n: int) -> _Blueprint:
     _expect_factors(ambient, [("C", l), ("C", m), ("C", n)], "sp_diag3")
-    bp = _Blueprint(tags={"spherical"})
+    bp = _Blueprint()
     for fi, k in enumerate((l, m, n)):
         if k >= 2:
             off = ambient.factor_matrix_offsets[fi]
@@ -630,7 +600,7 @@ def _c_sp_diag3(ambient: LieAlgebra, l: int, m: int, n: int) -> _Blueprint:
 
 def _c_sp_chain4(ambient: LieAlgebra, n: int, m: int) -> _Blueprint:
     _expect_factors(ambient, [("C", n), ("C", 2), ("C", m)], "sp_chain4")
-    bp = _Blueprint(tags={"spherical"})
+    bp = _Blueprint()
     if n >= 2:
         g = _sp_remap(n - 1, range(n - 1), n, 0)
         bp.ideal_groups.append(g)
@@ -648,11 +618,11 @@ def _c_sp_chain4(ambient: LieAlgebra, n: int, m: int) -> _Blueprint:
 
 
 def _c_sl_sp_glue(ambient: LieAlgebra, n: int, m: int,
-                  with_center: bool) -> _Blueprint:
+                  with_center: bool = True) -> _Blueprint:
     _expect_factors(ambient, [("A", n - 1), ("C", m)], "sl_sp_glue")
     if n < 3:
         raise ValueError("sl_sp_glue needs n >= 3")
-    bp = _Blueprint(tags={"spherical"})
+    bp = _Blueprint()
     if n - 2 >= 2:
         g = _sl_block(0, n - 2)
         bp.ideal_groups.append(g)
@@ -685,7 +655,7 @@ def _c_chain_image(ambient: LieAlgebra, n: int) -> _Blueprint:
     if n < 2:
         raise ValueError("chain_image needs n >= 2")
     off2 = n + 1
-    bp = _Blueprint(tags={"spherical"})
+    bp = _Blueprint()
     group = _sl_block(0, n)
     bp.ideal_groups.append(group)
     bp.matrices.extend(group)
@@ -696,28 +666,37 @@ def _c_chain_image(ambient: LieAlgebra, n: int) -> _Blueprint:
     return bp
 
 
-_REGISTRY: dict[str, Callable] = {
-    "block_sgl": lambda L, p, q: _c_block_sgl(L, p, q),
-    "levi": lambda L, blocks: _c_levi(L, blocks),
-    "block_ss": lambda L, p, q: _c_block_ss(L, p, q),
-    "block_one": lambda L, k: _c_block_one(L, k),
-    "so_in_sl": lambda L, n: _c_so_in_sl(L, n),
-    "sp_in_sl": lambda L, n: _c_sp_in_sl(L, n),
-    "sp_plus_center": lambda L, n: _c_sp_plus_center(L, n),
-    "gl_in_sp": lambda L, n: _c_gl_in_sp(L, n),
-    "gl_in_so": lambda L, m: _c_gl_in_so(L, m),
-    "so_block": lambda L, p, q: _c_so_block(L, p, q),
-    "so_diag_pair": lambda L, n: _c_so_diag_pair(L, n),
-    "sl_gl_pair": lambda L, n: _c_sl_gl_pair(L, n),
-    "diagonal": lambda L, family, rank: _c_diagonal(L, family, rank),
-    "sp_block": lambda L, parts: _c_sp_block(L, parts),
-    "sp_sub_center": lambda L, n: _c_sp_sub_center(L, n),
-    "sp_diag2": lambda L, m, n: _c_sp_diag2(L, m, n),
-    "sp4_diag": lambda L, n: _c_sp4_diag(L, n),
-    "sp_diag3": lambda L, l, m, n: _c_sp_diag3(L, l, m, n),
-    "sp_chain4": lambda L, n, m: _c_sp_chain4(L, n, m),
-    "sl_sp_glue": lambda L, n, m, with_center=True: _c_sl_sp_glue(L, n, m, with_center),
-    "chain_image": lambda L, n: _c_chain_image(L, n),
+_REGISTRY: dict[str, Callable[..., _Blueprint]] = {
+    "block_sgl": _c_block_sgl,
+    "levi": _c_levi,
+    "block_ss": _c_block_ss,
+    "block_one": _c_block_one,
+    "so_in_sl": _c_so_in_sl,
+    "sp_in_sl": _c_sp_in_sl,
+    "sp_plus_center": _c_sp_plus_center,
+    "gl_in_sp": _c_gl_in_sp,
+    "gl_in_so": _c_gl_in_so,
+    "so_block": _c_so_block,
+    "so_diag_pair": _c_so_diag_pair,
+    "sl_gl_pair": _c_sl_gl_pair,
+    "diagonal": _c_diagonal,
+    "sp_block": _c_sp_block,
+    "sp_sub_center": _c_sp_sub_center,
+    "sp_diag2": _c_sp_diag2,
+    "sp4_diag": _c_sp4_diag,
+    "sp_diag3": _c_sp_diag3,
+    "sp_chain4": _c_sp_chain4,
+    "sl_sp_glue": _c_sl_sp_glue,
+    "chain_image": _c_chain_image,
+}
+
+# parameter annotation -> accepted JSON value check
+_PARAM_CHECKS = {
+    "int": lambda v: type(v) is int,
+    "bool": lambda v: type(v) is bool,
+    "str": lambda v: type(v) is str,
+    "Sequence[int]": lambda v: (isinstance(v, (list, tuple))
+                                and all(type(x) is int for x in v)),
 }
 
 
@@ -781,12 +760,7 @@ def _theta_cols_from_spec(ambient: LieAlgebra, spec: tuple) -> list:
     if kind == "conj_dense":
         s = spec[1]
         msize = len(s)
-        aug = [[s[i][j] for j in range(msize)] + [Fraction(1 if i == j else 0)
-               for j in range(msize)] for i in range(msize)]
-        rr, piv = rref(aug)
-        if piv != list(range(msize)):
-            raise InvalidSubalgebraError("conjugating matrix is singular")
-        sinv = [row[msize:] for row in rr]
+        sinv = _inverse(s, "the conjugating matrix")
         cols = []
         for j in range(L.dim):
             mat: SparseMatrix = {}
@@ -821,7 +795,8 @@ def _coords_list(ambient: LieAlgebra, mats: list[SparseMatrix]) -> list:
 def embed(ambient: LieAlgebra, constructor: str, params: Optional[dict] = None) -> Embedding:
     """Build a validated embedding from a named constructor.
 
-    ``custom`` takes {"matrices": [...dense rows...], "involution": spec?};
+    Named constructors' parameters are checked against their signatures
+    (names and JSON types) before the constructor runs.  ``custom`` takes {"matrices": [...dense rows...], "involution": spec?};
     ``direct_sum`` takes {"parts": [{"constructor", "params", "factors"}]},
     the parts consuming the ambient simple factors in order.
     """
@@ -834,6 +809,16 @@ def embed(ambient: LieAlgebra, constructor: str, params: Optional[dict] = None) 
     if fn is None:
         raise ValueError(f"unknown constructor {constructor!r}; "
                          f"supported: {', '.join(constructor_names())}")
+    sig = inspect.signature(fn)
+    try:
+        bound = sig.bind(ambient, **params)
+    except TypeError as exc:
+        raise InvalidSubalgebraError(f"constructor {constructor}: {exc}") from None
+    for name, value in list(bound.arguments.items())[1:]:
+        if not _PARAM_CHECKS[sig.parameters[name].annotation](value):
+            raise InvalidSubalgebraError(
+                f"constructor {constructor}: parameter {name!r} has the wrong "
+                f"type ({value!r})")
     bp = fn(ambient, **params)
     vectors = _coords_list(ambient, bp.matrices)
     h = Subspace.span(vectors, ambient.dim)
@@ -849,8 +834,7 @@ def embed(ambient: LieAlgebra, constructor: str, params: Optional[dict] = None) 
         if center.dim + sum(g.dim for g in groups) == h.dim:
             ideals = IdealDecomposition(center, groups)
     return Embedding(ambient, h, constructor=(constructor, params),
-                     tags=frozenset(bp.tags), theta_cols=theta_cols,
-                     ideal_decomposition=ideals)
+                     theta_cols=theta_cols, ideal_decomposition=ideals)
 
 
 def _embed_custom(ambient: LieAlgebra, params: dict) -> Embedding:
@@ -872,7 +856,7 @@ def _embed_custom(ambient: LieAlgebra, params: dict) -> Embedding:
     theta_cols = None
     if theta_spec is not None:
         if isinstance(theta_spec, dict):
-            kind = theta_spec["kind"]
+            kind = theta_spec.get("kind")
             if kind == "neg_transpose":
                 theta_cols = _theta_cols_from_spec(ambient, ("neg_transpose",))
             elif kind == "swap":
@@ -888,10 +872,11 @@ def _embed_custom(ambient: LieAlgebra, params: dict) -> Embedding:
 
 
 def _embed_direct_sum(ambient: LieAlgebra, params: dict) -> Embedding:
-    parts = params["parts"]
+    parts = params.get("parts")
+    if not isinstance(parts, list):
+        raise InvalidSubalgebraError("direct_sum needs a list 'parts'")
     consumed = 0
     vectors: list = []
-    tags: Optional[set] = None
     centers: list = []
     groups: list = []
     theta_blocks: list = []
@@ -913,7 +898,6 @@ def _embed_direct_sum(ambient: LieAlgebra, params: dict) -> Embedding:
             return out
 
         vectors.extend(lift(v) for v in sub_emb.h_basis.basis)
-        tags = sub_emb.tags if tags is None else (tags & sub_emb.tags)
         if sub_emb._ideals is not None:
             centers.extend(lift(v) for v in sub_emb._ideals.center.basis)
             for g in sub_emb._ideals.simple_ideals:
@@ -947,5 +931,4 @@ def _embed_direct_sum(ambient: LieAlgebra, params: dict) -> Embedding:
         if center.dim + sum(g.dim for g in gs) == h.dim:
             ideals = IdealDecomposition(center, gs)
     return Embedding(ambient, h, constructor=("direct_sum", params),
-                     tags=frozenset(tags or ()), theta_cols=theta_cols,
-                     ideal_decomposition=ideals)
+                     theta_cols=theta_cols, ideal_decomposition=ideals)

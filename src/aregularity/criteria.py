@@ -18,10 +18,10 @@ maximal abelian subspace of the (-1)-eigenspace equals the generic
 stabilizer, so the pair is a-regular iff that centralizer is abelian (no
 painted node on the associated involution diagram).
 
-``decide`` runs every applicable route and the catalog lookup; any
-disagreement raises instead of being resolved silently, since the routes
-are provably equivalent and a split certifies an implementation or
-sampling bug.
+``decide`` runs every applicable route and, when given a catalog, the
+table lookup; any disagreement raises instead of being resolved silently,
+since the routes are provably equivalent and a split certifies an
+implementation, sampling or table bug.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .lie_core import scale_to_int
+from .exact_linalg import clear_denominators
 from .subalgebras import (
     Embedding,
     GenericityError,
@@ -44,6 +44,9 @@ from .subalgebras import (
     random_combination,
     sz_bound,
 )
+
+if TYPE_CHECKING:
+    from .catalog import Catalog
 
 
 class RouteDisagreementError(RuntimeError):
@@ -86,12 +89,6 @@ class AbelianStabilizer:
 class Numerical:
     c: int
     rk: int
-
-
-@dataclass(frozen=True)
-class TableRow:
-    row_id: str
-    params: dict
 
 
 @dataclass(frozen=True)
@@ -210,7 +207,7 @@ def satake_route(e: Embedding, cfg: DecisionConfig = DecisionConfig()) -> Verdic
     L = e.ambient
     c, zc = cartan_subspace_stabilizer(e, seed=cfg.seed + 17, trials=cfg.trials,
                                        coeff_bound=cfg.coeff_bound)
-    abelian = is_abelian(L, [scale_to_int(v) for v in zc.basis])
+    abelian = is_abelian(L, [clear_denominators(v) for v in zc.basis])
     rep = GenericStabilizerReport(
         stab_basis=zc, dim=zc.dim, is_abelian=abelian,
         reductive_rank=L.rank - c.dim, trials=cfg.trials,
@@ -220,25 +217,14 @@ def satake_route(e: Embedding, cfg: DecisionConfig = DecisionConfig()) -> Verdic
     return Verdict(abelian, AbelianStabilizer(rep), ("satake",), inv)
 
 
-def _catalog_route(e: Embedding) -> Optional[tuple[bool, TableRow]]:
-    from .catalog import default_catalog
-
-    cat = default_catalog()
-    hit = cat.lookup(e)
-    if hit is None:
-        return None
-    row, params = hit
-    if row.verdict is None:
-        return None
-    return row.verdict, TableRow(row.row_id, params)
-
-
 def decide(e: Embedding, cfg: DecisionConfig = DecisionConfig(),
-           use_catalog: bool = True) -> Verdict:
+           catalog: Optional[Catalog] = None) -> Verdict:
     """Run all applicable routes; error on any disagreement.
 
-    The strongest certificate is returned: an exact regular witness for
-    YES, the randomized bound for NO."""
+    With a ``catalog``, the verdict of the row matching the pair (if that
+    row has one) joins the comparison as the route ``catalog``.  The
+    strongest certificate is returned: an exact regular witness for YES,
+    the randomized bound for NO."""
     results: dict[str, Verdict] = {
         "regular_element": decide_regular_element(e, cfg),
         "abelian_stabilizer": decide_abelian_stabilizer(e, cfg),
@@ -246,13 +232,10 @@ def decide(e: Embedding, cfg: DecisionConfig = DecisionConfig(),
     }
     if e.theta_cols is not None:
         results["satake"] = satake_route(e, cfg)
-    table_cert: Optional[TableRow] = None
     booleans = {name: v.a_regular for name, v in results.items()}
-    if use_catalog:
-        hit = _catalog_route(e)
-        if hit is not None:
-            booleans["catalog"] = hit[0]
-            table_cert = hit[1]
+    hit = catalog.lookup(e) if catalog is not None else None
+    if hit is not None and hit[0].verdict is not None:
+        booleans["catalog"] = hit[0].verdict
     answers = set(booleans.values())
     if len(answers) != 1:
         raise RouteDisagreementError(booleans)

@@ -44,12 +44,8 @@ class PairFactorization:
     factors: tuple[PairFactor, ...]
 
 
-def _factor_coordinate_ranges(L: LieAlgebra) -> list[tuple[int, int]]:
-    return list(L.factor_basis_slices)
-
-
 def _intersection_with_factors(e: Embedding, subset: Sequence[int]) -> Subspace:
-    ranges = _factor_coordinate_ranges(e.ambient)
+    ranges = e.ambient.factor_basis_slices
     indices: list[int] = []
     for fi in subset:
         b0, b1 = ranges[fi]
@@ -62,7 +58,7 @@ def _restrict_embedding(e: Embedding, subset: tuple[int, ...],
     """Re-coordinatize h ∩ g_subset inside the sub-direct-sum ambient."""
     L = e.ambient
     sub_ambient = build_algebra([L.factors[i] for i in subset])
-    ranges = _factor_coordinate_ranges(L)
+    ranges = L.factor_basis_slices
     cols: list[int] = []
     for fi in subset:
         b0, b1 = ranges[fi]
@@ -169,7 +165,7 @@ def combined_verdict(f: PairFactorization,
     routes = tuple(sorted(set.intersection(
         *(set(v.routes_agreed) for v in per_factor)))) if per_factor else ()
     if yes:
-        ranges = _factor_coordinate_ranges(f.ambient)
+        ranges = f.ambient.factor_basis_slices
         witness = [Fraction(0)] * f.ambient.dim
         for fac, v in zip(f.factors, per_factor):
             cert = v.certificate

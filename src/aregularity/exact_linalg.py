@@ -1,11 +1,11 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
-Vectors are sequences of ``int`` or ``fractions.Fraction``; every operation
-is exact, there is no floating point anywhere.  The elimination core is
-fraction-free (Bareiss): rows are first cleared of denominators and the
-echelon form is computed over the integers, which keeps intermediate
-coefficient growth polynomial.  Reduced row-echelon output over Q is
-produced from the integer echelon form at the end.
+Vectors are sequences of ``int`` or ``fractions.Fraction`` and matrices are
+plain lists of rows; every operation is exact, there is no floating point
+anywhere.  The elimination core is fraction-free (Bareiss): rows are first
+cleared of denominators and the echelon form is computed over the integers,
+which keeps intermediate coefficient growth polynomial.  Reduced row-echelon
+output over Q is produced from the integer echelon form at the end.
 
 ``Subspace`` keeps its basis in reduced row-echelon form with pivot columns
 in increasing order, so two subspaces are equal iff their stored
@@ -106,17 +106,19 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[i
     return out, pivots
 
 
-def kernel_from_rref(rref_rows: list[list[Fraction]], pivots: list[int],
-                     ncols: int) -> list[list[Fraction]]:
-    """Kernel basis of the row space viewed as a linear map."""
+def kernel(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Fraction]]:
+    """Basis of {v : row . v = 0 for every row}, one vector per non-pivot
+    column (that coordinate 1, the other free coordinates 0)."""
+    rr, pivots = rref(rows)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for i, c in enumerate(pivots):
-            v[c] = -rref_rows[i][f]
+            v[c] = -rr[i][f]
         basis.append(v)
     return basis
 
@@ -125,69 +127,25 @@ def left_kernel(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
     """Coefficient vectors lam with sum(lam_i * rows[i]) = 0."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    nr = len(rows)
-    transposed = [[rows[i][j] for i in range(nr)] for j in range(ncols)]
-    rr, piv = rref(transposed)
-    return kernel_from_rref(rr, piv, nr)
+    return kernel([list(col) for col in zip(*rows)], len(rows))
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense matrix of exact rationals, entries stored row-major."""
+def solve_linear(rows: Sequence[Sequence[Scalar]],
+                 b: Sequence[Scalar]) -> Optional[Vector]:
+    """A particular solution of rows . x = b, or None when inconsistent.
 
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionError("entry count does not match rows*cols")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "RationalMatrix":
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        flat = []
-        for r in rows:
-            if len(r) != nc:
-                raise DimensionError("ragged rows")
-            flat.extend(_frac(x) for x in r)
-        return cls(nr, nc, tuple(flat))
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix.from_rows(
-            [[self.entry(i, j) for i in range(self.rows)] for j in range(self.cols)])
-
-    def mul_vec(self, v: Sequence[Scalar]) -> Vector:
-        if len(v) != self.cols:
-            raise DimensionError("vector length does not match column count")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            acc = Fraction(0)
-            for j, x in enumerate(v):
-                if x:
-                    acc += self.entries[base + j] * x
-            out.append(acc)
-        return tuple(out)
+    The canonical choice sets all free variables to zero.
+    """
+    if len(b) != len(rows):
+        raise DimensionError("right-hand side length does not match row count")
+    ncols = len(rows[0]) if rows else 0
+    rr, piv = rref([list(r) + [bi] for r, bi in zip(rows, b)])
+    if ncols in piv:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, c in enumerate(piv):
+        x[c] = rr[i][ncols]
+    return tuple(x)
 
 
 @dataclass(frozen=True)
@@ -312,48 +270,6 @@ def lift(coeffs: Sequence[Sequence[Scalar]], rows: Sequence[Sequence[Scalar]],
     """Span of the combinations of ``rows`` given by each coefficient vector,
     e.g. a kernel over a spanning set lifted back to coordinates."""
     return Subspace.span([combine(lam, rows, dim) for lam in coeffs], dim)
-
-
-@dataclass(frozen=True)
-class SubspaceOps:
-    sum: Subspace
-    intersection: Subspace
-    contains: bool
-
-
-def subspace_ops(u: Subspace, v: Subspace) -> SubspaceOps:
-    """Sum, intersection and the containment test v <= u."""
-    if u.ambient_dim != v.ambient_dim:
-        raise DimensionError("ambient dimension mismatch")
-    return SubspaceOps(sum=u.sum_with(v), intersection=u.intersect(v),
-                       contains=u.contains_subspace(v))
-
-
-def rank_and_kernel(m: RationalMatrix) -> tuple[int, Subspace]:
-    """Rank and exact kernel; rank + dim(kernel) = cols."""
-    rows = m.to_rows()
-    if not rows:
-        return 0, Subspace.full(m.cols)
-    rr, piv = rref(rows)
-    kern = kernel_from_rref(rr, piv, m.cols)
-    return len(piv), Subspace.span(kern, m.cols)
-
-
-def solve_linear(a: RationalMatrix, b: Sequence[Scalar]) -> Optional[Vector]:
-    """A particular solution of a x = b, or None when inconsistent.
-
-    The canonical choice sets all free variables to zero.
-    """
-    if len(b) != a.rows:
-        raise DimensionError("right-hand side length does not match row count")
-    aug = [list(a.row(i)) + [_frac(b[i])] for i in range(a.rows)]
-    rr, piv = rref(aug)
-    if a.cols in piv:
-        return None
-    x = [Fraction(0)] * a.cols
-    for i, c in enumerate(piv):
-        x[c] = rr[i][a.cols]
-    return tuple(x)
 
 
 class IntEchelon:

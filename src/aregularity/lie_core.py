@@ -35,15 +35,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Optional, Sequence
 
-from .exact_linalg import (
-    RationalMatrix,
-    Scalar,
-    bareiss_echelon,
-    clear_denominators,
-)
+from .exact_linalg import Scalar, bareiss_echelon, clear_denominators
 
 SparseMatrix = dict[tuple[int, int], Fraction | int]
 ElementVector = list[Fraction | int]
@@ -255,11 +249,6 @@ class LieAlgebra:
 
     # -- construction helpers -------------------------------------------------
 
-    def element(self, coords: Sequence[Scalar]) -> ElementVector:
-        if len(coords) != self.dim:
-            raise ValueError("coordinate length does not match dim")
-        return list(coords)
-
     def zero_element(self) -> ElementVector:
         return [0] * self.dim
 
@@ -343,9 +332,6 @@ class LieAlgebra:
                     out[k][j] += xi * coeff
         return out
 
-    def ad_matrix(self, x: Sequence[Scalar]) -> RationalMatrix:
-        return RationalMatrix.from_rows(self.ad_rows(x))
-
     def killing_form(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Fraction:
         acc = Fraction(0)
         for i, xi in enumerate(x):
@@ -358,14 +344,6 @@ class LieAlgebra:
                     acc += xi * yj * g
         return acc
 
-    @property
-    def form(self) -> RationalMatrix:
-        rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for i, row in enumerate(self.gram_rows):
-            for j, g in row.items():
-                rows[i][j] = Fraction(g)
-        return RationalMatrix.from_rows(rows)
-
     def is_semisimple(self) -> bool:
         return self.center_dim == 0
 
@@ -373,9 +351,7 @@ class LieAlgebra:
         """(x is regular, dim of its centralizer); requires semisimple."""
         if not self.is_semisimple():
             raise ValueError("regularity is defined here for semisimple algebras")
-        int_x = clear_denominators(list(x))
-        rows = _int_ad_rows(self, int_x)
-        rank = len(bareiss_echelon(rows)[1])
+        rank = len(bareiss_echelon(self.ad_rows(clear_denominators(x)))[1])
         cdim = self.dim - rank
         return cdim == self.rank, cdim
 
@@ -396,17 +372,6 @@ class LieAlgebra:
 
     def random_element(self, rng: random.Random, bound: int = 9) -> ElementVector:
         return [rng.randint(-bound, bound) for _ in range(self.dim)]
-
-
-def _int_ad_rows(L: LieAlgebra, x: Sequence[int]) -> list[ElementVector]:
-    out = [[0] * L.dim for _ in range(L.dim)]
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, terms in L.bracket_rows[i].items():
-            for k, coeff in terms:
-                out[k][j] += xi * coeff
-    return out
 
 
 def _sparse_commutator(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
@@ -535,12 +500,3 @@ def _check_form_invariance(L: LieAlgebra) -> None:
     if {t: v for t, v in lhs.items() if v} != {t: v for t, v in rhs.items() if v}:
         raise RuntimeError("trace form is not ad-invariant on the basis; basis bug")
 
-
-def scale_to_int(vec: Sequence[Scalar]) -> list[int]:
-    """Primitive integer representative of a rational vector's ray."""
-    den = 1
-    for x in vec:
-        if isinstance(x, Fraction):
-            den = lcm(den, x.denominator)
-    out = [int(x * den) if isinstance(x, Fraction) else x * den for x in vec]
-    return out

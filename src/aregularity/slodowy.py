@@ -22,8 +22,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact_linalg import RationalMatrix, Subspace, left_kernel, solve_linear
-from .lie_core import ElementVector, LieAlgebra, scale_to_int
+from .exact_linalg import (
+    Subspace,
+    clear_denominators,
+    combine,
+    kernel,
+    left_kernel,
+    solve_linear,
+)
+from .lie_core import ElementVector, LieAlgebra
 from .subalgebras import Embedding
 from .criteria import DecisionConfig, decide_regular_element
 
@@ -78,7 +85,7 @@ def principal_sl2(L: LieAlgebra) -> Sl2Triple:
             br = L.bracket(unit, _unit(dim, ei))
             row.append(br[ei])
         rows.append(row)
-    sol = solve_linear(RationalMatrix.from_rows(rows), [2] * n_s)
+    sol = solve_linear(rows, [2] * n_s)
     if sol is None:
         raise TripleConstructionError("no torus element pairs to 2 with all simple roots")
     h: ElementVector = [0] * dim
@@ -88,9 +95,7 @@ def principal_sl2(L: LieAlgebra) -> Sl2Triple:
     coroots = []
     for ej, fj in zip(L.simple_e_indices, L.simple_f_indices):
         coroots.append(L.bracket(_unit(dim, ej), _unit(dim, fj)))
-    a = RationalMatrix.from_rows([[coroots[j][t] for j in range(n_s)]
-                                  for t in range(dim)])
-    cs = solve_linear(a, h)
+    cs = solve_linear([[coroots[j][t] for j in range(n_s)] for t in range(dim)], h)
     if cs is None:
         raise TripleConstructionError("bracket relation [e,f] = h is unsolvable")
     f: ElementVector = [0] * dim
@@ -112,10 +117,7 @@ def _unit(dim: int, i: int) -> ElementVector:
 def slodowy_slice(L: LieAlgebra, t: Sl2Triple) -> SlodowySlice:
     """The affine slice e + ker(ad_f)."""
     _verify_triple(L, list(t.e), list(t.h), list(t.f))
-    rows = L.ad_rows(list(t.f))
-    from .exact_linalg import kernel_from_rref, rref
-    rr, piv = rref(rows)
-    kern = kernel_from_rref(rr, piv, L.dim)
+    kern = kernel(L.ad_rows(t.f), L.dim)
     return SlodowySlice(base=t.e, directions=Subspace.span(kern, L.dim))
 
 
@@ -123,15 +125,10 @@ def slice_regularity_check(L: LieAlgebra, s: SlodowySlice, samples: int = 20,
                            seed: int = 0) -> bool:
     """Exactly verify regularity of sampled points of the slice."""
     rng = random.Random(seed)
-    rows = [scale_to_int(v) for v in s.directions.basis]
-    for k in range(samples):
-        x = list(s.base)
-        for r in rows:
-            c = rng.randint(-9, 9)
-            if c:
-                for j, v in enumerate(r):
-                    x[j] += c * v
-        if not L.is_regular(x)[0]:
+    rows = [clear_denominators(v) for v in s.directions.basis]
+    for _ in range(samples):
+        step = combine([rng.randint(-9, 9) for _ in rows], rows, L.dim)
+        if not L.is_regular([b + v for b, v in zip(s.base, step)])[0]:
             return False
     return True
 
@@ -155,10 +152,6 @@ def _char_poly(mat: list[list[Fraction]]) -> list[Fraction]:
     return coeffs
 
 
-def _dense_defining_matrix(L: LieAlgebra, x: Sequence) -> list[list[Fraction]]:
-    return L.dense_matrix_of(list(x))
-
-
 def _weight_graded_directions(L: LieAlgebra, s: SlodowySlice,
                               h: Sequence) -> list[tuple[int, ElementVector]]:
     """Slice directions split into ad_h eigenvectors, weights ascending by
@@ -171,13 +164,7 @@ def _weight_graded_directions(L: LieAlgebra, s: SlodowySlice,
         combos = [[a + weight * b for a, b in zip(hv, v)]
                   for hv, v in zip(h_brackets, rows)]
         for coeffs in left_kernel(combos):
-            vec = [Fraction(0)] * L.dim
-            for c, row in zip(coeffs, rows):
-                if c:
-                    for j, v in enumerate(row):
-                        if v:
-                            vec[j] += c * v
-            out.append((weight // 2, vec))
+            out.append((weight // 2, combine(coeffs, rows, L.dim)))
         weight += 2
     if len(out) != s.directions.dim:
         raise TripleConstructionError("slice directions did not grade by weight")
@@ -197,22 +184,22 @@ def slice_representative_sl(L: LieAlgebra, x: Sequence) -> Optional[tuple]:
     triple = principal_sl2(L)
     s = slodowy_slice(L, triple)
     graded = _weight_graded_directions(L, s, triple.h)
-    target = _char_poly(_dense_defining_matrix(L, x))
+    target = _char_poly(L.dense_matrix_of(x))
     n = L.matrix_size
     point = [Fraction(v) for v in triple.e]
     for m, direction in graded:
         # coefficient of lambda^(n-m-1) responds linearly to this direction
         pos = n - m - 1
-        current = _char_poly(_dense_defining_matrix(L, point))
+        current = _char_poly(L.dense_matrix_of(point))
         probe = [p + d for p, d in zip(point, direction)]
-        probed = _char_poly(_dense_defining_matrix(L, probe))
+        probed = _char_poly(L.dense_matrix_of(probe))
         slope = probed[pos] - current[pos]
         if slope == 0:
             raise TripleConstructionError("degenerate slice coordinate")
         step = (target[pos] - current[pos]) / slope
         if step:
             point = [p + step * d for p, d in zip(point, direction)]
-    final = _char_poly(_dense_defining_matrix(L, point))
+    final = _char_poly(L.dense_matrix_of(point))
     if final != target:
         raise TripleConstructionError("characteristic polynomial matching failed")
     return tuple(point)

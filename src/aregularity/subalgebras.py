@@ -48,22 +48,17 @@ from typing import Optional, Sequence
 
 from .exact_linalg import (
     IntEchelon,
-    RationalMatrix,
     Subspace,
     bareiss_echelon,
     clear_denominators,
     combine,
-    kernel_from_rref,
+    kernel,
     left_kernel,
     lift,
     rref,
     solve_linear,
 )
-from .lie_core import (
-    ElementVector,
-    LieAlgebra,
-    scale_to_int,
-)
+from .lie_core import ElementVector, LieAlgebra
 
 
 class InvalidSubalgebraError(ValueError):
@@ -126,7 +121,6 @@ class Embedding:
 
     def __init__(self, ambient: LieAlgebra, h_basis: Subspace,
                  constructor: Optional[tuple[str, dict]] = None,
-                 tags: frozenset[str] = frozenset(),
                  theta_cols: Optional[list[ElementVector]] = None,
                  ideal_decomposition: Optional[IdealDecomposition] = None):
         if h_basis.ambient_dim != ambient.dim:
@@ -134,7 +128,6 @@ class Embedding:
         self.ambient = ambient
         self.h_basis = h_basis
         self.constructor = constructor
-        self.tags = tags
         self.theta_cols = theta_cols
         self._ideals = ideal_decomposition
         self._cache: dict = {}
@@ -275,7 +268,7 @@ def is_abelian(L: LieAlgebra, rows: Sequence[Sequence]) -> bool:
 
 
 def _int_rows(s: Subspace) -> list[list[int]]:
-    return [scale_to_int(v) for v in s.basis]
+    return [clear_denominators(v) for v in s.basis]
 
 
 # -- orthogonal complement and stabilizers -------------------------------------
@@ -302,8 +295,7 @@ def perp(e: Embedding) -> Subspace:
                 for j, g in L.gram_rows[k].items():
                     out[j] += hk * g
         gram_applied.append(out)
-    rr, piv = rref(gram_applied)
-    result = Subspace.span(kernel_from_rref(rr, piv, L.dim), L.dim)
+    result = Subspace.span(kernel(gram_applied, L.dim), L.dim)
     if result.dim != L.dim - e.dim_h:
         raise DegenerateFormError(
             "trace form restricted to h is degenerate; input is not a "
@@ -322,7 +314,7 @@ def stabilizer(e: Embedding, x: Sequence) -> Subspace:
     """The subalgebra {h in h-basis span : [h, x] = 0}, as a subspace of g."""
     L = e.ambient
     h_rows = e.h_int_rows()
-    x_int = scale_to_int(list(x))
+    x_int = clear_denominators(x)
     return lift(left_kernel([L.bracket(hr, x_int) for hr in h_rows]), h_rows, L.dim)
 
 
@@ -428,11 +420,7 @@ def decompose_reductive(e_or_pair, subspace: Optional[Subspace] = None) -> Ideal
             row = [int(brackets[i][j][t]) for i in range(n_h)]
             if any(row):
                 eq_rows.append(row)
-    if eq_rows:
-        rr, piv = rref(eq_rows)
-        center = lift(kernel_from_rref(rr, piv, n_h), h_rows, L.dim)
-    else:
-        center = h
+    center = lift(kernel(eq_rows, n_h), h_rows, L.dim)
     derived_vecs = [brackets[i][j] for i in range(n_h) for j in range(i + 1, n_h)]
     derived = Subspace.span([v for v in derived_vecs if any(v)], L.dim)
     if center.dim + derived.dim != n_h or center.intersect(derived).dim != 0:
@@ -483,12 +471,8 @@ def _commutant_basis(mats: list[list[list[Fraction]]], d: int,
                         row[u * d + c] -= A[r][u]
                     if any(row):
                         eq_rows.append(row)
-        if not eq_rows:
-            return [[[Fraction(1 if u == a and v == b else 0) for v in range(d)]
-                     for u in range(d)] for a in range(d) for b in range(d)]
-        rr, piv = rref(eq_rows)
-        kern = kernel_from_rref(rr, piv, d * d)
-        cand = [[[vec[u * d + v] for v in range(d)] for u in range(d)] for vec in kern]
+        cand = [[[vec[u * d + v] for v in range(d)] for u in range(d)]
+                for vec in kernel(eq_rows, d * d)]
         if gens is mats:
             return cand
         # sampled generators: verify against the full set, else fall back
@@ -518,10 +502,11 @@ def _min_poly(M: list[list[Fraction]], d: int) -> list[Fraction]:
         _, piv = rref(vecs)
         if len(piv) < len(vecs):
             # last power is dependent: solve for the combination
-            a = RationalMatrix.from_rows(
-                [[vecs[k][t] for k in range(len(vecs) - 1)] for t in range(d * d)])
-            sol = solve_linear(a, flat)
-            assert sol is not None
+            sol = solve_linear([[vecs[k][t] for k in range(len(vecs) - 1)]
+                                for t in range(d * d)], flat)
+            if sol is None:
+                raise RuntimeError("dependent matrix power left the span of the "
+                                   "lower powers; internal error")
             return [-s for s in sol] + [Fraction(1)]
         power = [[sum(power[i][k] * M[k][j] for k in range(d)) for j in range(d)]
                  for i in range(d)]
@@ -619,8 +604,7 @@ def _split_semisimple(L: LieAlgebra, derived: Subspace,
         for lam in sorted(set(roots)):
             shifted = [[C[r][s] - (lam if r == s else 0) for s in range(d)]
                        for r in range(d)]
-            rr, piv = rref(shifted)
-            piece = lift(kernel_from_rref(rr, piv, d), rows, L.dim)
+            piece = lift(kernel(shifted, d), rows, L.dim)
             if piece.dim:
                 pieces.extend(_split_semisimple(L, piece, rng))
         if sum(p.dim for p in pieces) == d:

@@ -58,7 +58,7 @@ _DECIDED = {}
 def _decide_named(name, ambient_factors, ctor, params):
     if name not in _DECIDED:
         e = embed(build_algebra(ambient_factors), ctor, params)
-        _DECIDED[name] = (e, decide(e, CFG))
+        _DECIDED[name] = (e, decide(e, CFG, default_catalog()))
     return _DECIDED[name]
 
 
@@ -219,10 +219,10 @@ def test_criterion_08_decomposition():
     ]})
     fz = split_pair(e)
     assert len(fz.factors) == 2
-    per = [decide(f.embedding, CFG.reseeded(i), use_catalog=False)
+    per = [decide(f.embedding, CFG.reseeded(i))
            for i, f in enumerate(fz.factors)]
     combined = combined_verdict(fz, per)
-    whole = decide(e, CFG, use_catalog=False)
+    whole = decide(e, CFG)
     assert combined.a_regular is False
     assert combined.a_regular == whole.a_regular
     _p(8, "chain pairs indecomposable/not strict; composite split = whole (NO)")

@@ -1,10 +1,13 @@
 """CLI behaviour: exit codes, JSON schema, determinism, error paths."""
 
+import hashlib
 import json
+from importlib import resources
 
 import pytest
 
-from aregularity.cli import EXIT_ERROR, EXIT_NO, EXIT_YES, main
+from aregularity import cli
+from aregularity.cli import EXIT_DISAGREE, EXIT_ERROR, EXIT_NO, EXIT_YES, main
 
 
 def write_pair(tmp_path, name, doc):
@@ -88,6 +91,87 @@ class TestDecide:
         assert [f["a_regular"] for f in rep["factorization"]["factors"]] == [True, False]
 
 
+def catalog_with_verdict(tmp_path, row_id, verdict):
+    """A copy of the shipped catalog, re-checksummed, with one verdict set."""
+    doc = json.loads(resources.files("aregularity")
+                     .joinpath("data/catalog_tables.json").read_text())
+    table, line = row_id.split(":")
+    [row] = [r for r in doc["rows"] if (r["table"], r["line"]) == (table, line)]
+    row["verdict"] = verdict
+    payload = json.dumps(doc["rows"], sort_keys=True, separators=(",", ":"))
+    doc["sha256"] = hashlib.sha256(payload.encode()).hexdigest()
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestCatalogOption:
+    def test_flipped_verdict_is_a_disagreement(self, tmp_path, capsys):
+        pair = write_pair(tmp_path, "p.json", {
+            "g": [{"family": "C", "rank": 2}],
+            "h": {"constructor": "gl_in_sp", "params": {"n": 2}},
+        })
+        cat = catalog_with_verdict(tmp_path, "T3_symmetric:4", False)
+        code, rep = run(capsys, ["decide", pair, "--catalog", cat] + FAST)
+        assert code == EXIT_DISAGREE
+        assert rep["error"] == "route_disagreement"
+        assert rep["routes"]["catalog"] is False
+        assert rep["routes"]["regular_element"] is True
+
+    def test_ambiguous_match_is_a_json_error(self, tmp_path, capsys):
+        # flipping T2_levi:1 makes s(gl2+gl2) < sl4 match two rows with
+        # conflicting verdicts
+        pair = write_pair(tmp_path, "p.json", {
+            "g": [{"family": "A", "rank": 3}],
+            "h": {"constructor": "block_sgl", "params": {"p": 2, "q": 2}},
+        })
+        cat = catalog_with_verdict(tmp_path, "T2_levi:1", False)
+        code = main(["decide", pair, "--catalog", cat] + FAST)
+        out, err = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "AmbiguousMatchError"
+        assert "Traceback" not in err
+
+
+SO3 = [[[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+       [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+       [[0, 0, 0], [0, 0, 1], [0, -1, 0]]]
+
+
+@pytest.mark.parametrize("g,h,named", [
+    ([3], {"constructor": "block_sgl", "params": {"p": 2}}, "'q'"),
+    ([3], {"constructor": "block_sgl", "params": {"p": 2, "q": 2, "r": 1}}, "'r'"),
+    ([1], {"custom": {"matrices": [[["1/0", 0], [0, 0]]]}}, "1/0"),
+    ([2], {"custom": {"matrices": SO3, "involution": {}}}, "involution"),
+    ([2, 5], {"constructor": "direct_sum", "params": {}}, "parts"),
+    ([3], {"constructor": "block_sgl", "params": {"p": "2", "q": 2}}, "'p'"),
+], ids=["missing-param", "extra-param", "zero-denominator", "involution-no-kind",
+        "direct-sum-no-parts", "string-param"])
+def test_malformed_descriptor_is_a_json_error(tmp_path, capsys, g, h, named):
+    pair = write_pair(tmp_path, "p.json", {
+        "g": [{"family": "A", "rank": r} for r in g], "h": h})
+    code = main(["decide", pair] + FAST)
+    out, err = capsys.readouterr()
+    assert code == EXIT_ERROR
+    rep = json.loads(out)
+    assert rep["error"] != "internal_error"
+    assert named in rep["message"]
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(doc):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "load_pair", broken)
+    pair = write_pair(tmp_path, "p.json", {"g": [], "h": {}})
+    code = main(["decide", pair] + FAST)
+    out, err = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert json.loads(out) == {"error": "internal_error", "message": "KeyError: 'boom'"}
+    assert "Traceback" not in err
+
+
 class TestVerifyTables:
     def test_rank2_sweep(self, capsys):
         code, rep = run(capsys, ["verify-tables", "--max-rank", "2"] + FAST)
@@ -96,7 +180,6 @@ class TestVerifyTables:
         assert rep["verified_instances"] > 0
 
     def test_corrupted_catalog(self, tmp_path, capsys):
-        from importlib import resources
         doc = json.loads(resources.files("aregularity")
                          .joinpath("data/catalog_tables.json").read_text())
         doc["rows"][3]["verdict"] = False

@@ -139,7 +139,7 @@ class TestDecideConsensus:
         (lambda: pair_sl_block(2, 4), False),
     ])
     def test_decide(self, maker, expected):
-        v = decide(maker(), CFG, use_catalog=False)
+        v = decide(maker(), CFG)
         assert v.a_regular is expected
         if expected:
             assert isinstance(v.certificate, ExactRegularElement)
@@ -147,7 +147,7 @@ class TestDecideConsensus:
             assert isinstance(v.certificate, RandomizedNegative)
 
     def test_all_routes_listed(self):
-        v = decide(pair_sl_block(2, 2), CFG, use_catalog=False)
+        v = decide(pair_sl_block(2, 2), CFG)
         assert set(v.routes_agreed) == {"regular_element", "abelian_stabilizer",
                                         "numerical", "satake"}
 
@@ -156,7 +156,7 @@ class TestDecideConsensus:
         from aregularity.subalgebras import Embedding
         L = sl(3)
         e = Embedding(L, Subspace.zero(L.dim))
-        v = decide(e, CFG, use_catalog=False)
+        v = decide(e, CFG)
         assert v.a_regular
         assert v.invariants.c == (L.dim - L.rank) // 2
         assert v.invariants.rk == L.rank
@@ -176,7 +176,7 @@ def test_yes_witness_recheck_survives_python_O():
         e = embed(build_algebra([("A", 2)]), "so_in_sl", {"n": 3})
         cfg = criteria.DecisionConfig(seed=2, trials=4, coeff_bound=1 << 10)
         try:
-            criteria.decide(e, cfg, use_catalog=False)
+            criteria.decide(e, cfg)
         except criteria.CertificateError:
             sys.exit(0)
         sys.exit(4)

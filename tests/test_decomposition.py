@@ -84,7 +84,7 @@ class TestCombinedVerdict:
             {"constructor": "block_sgl", "params": {"p": 2, "q": 2}, "factors": 1},
         ]})
         fz = split_pair(e)
-        verdicts = [decide(f.embedding, CFG, use_catalog=False) for f in fz.factors]
+        verdicts = [decide(f.embedding, CFG) for f in fz.factors]
         combined = combined_verdict(fz, verdicts)
         assert combined.a_regular
         # combined witness is exactly regular in the big algebra
@@ -94,16 +94,16 @@ class TestCombinedVerdict:
     def test_any_no(self):
         e = composite_pair()
         fz = split_pair(e)
-        verdicts = [decide(f.embedding, CFG, use_catalog=False) for f in fz.factors]
+        verdicts = [decide(f.embedding, CFG) for f in fz.factors]
         combined = combined_verdict(fz, verdicts)
         assert not combined.a_regular
 
     def test_matches_whole_pair_decision(self):
         e = composite_pair()
         fz = split_pair(e)
-        verdicts = [decide(f.embedding, CFG, use_catalog=False) for f in fz.factors]
+        verdicts = [decide(f.embedding, CFG) for f in fz.factors]
         combined = combined_verdict(fz, verdicts)
-        whole = decide(e, CFG, use_catalog=False)
+        whole = decide(e, CFG)
         assert combined.a_regular == whole.a_regular
 
     def test_length_mismatch(self):

@@ -9,58 +9,75 @@ from hypothesis import strategies as st
 from aregularity.exact_linalg import (
     DimensionError,
     IntEchelon,
-    RationalMatrix,
     Subspace,
-    rank_and_kernel,
+    kernel,
+    left_kernel,
+    rref,
     solve_linear,
-    subspace_ops,
 )
 
 
-def M(rows):
-    return RationalMatrix.from_rows(rows)
+def rank(rows):
+    return len(rref(rows)[1])
+
+
+def apply(rows, v):
+    return [sum(a * x for a, x in zip(row, v)) for row in rows]
+
+
+def transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 class TestRankAndKernel:
     def test_zero_matrix(self):
-        rank, kern = rank_and_kernel(RationalMatrix.zero(3, 3))
-        assert rank == 0
-        assert kern == Subspace.full(3)
+        zero = [[0] * 3 for _ in range(3)]
+        assert rank(zero) == 0
+        assert Subspace.span(kernel(zero, 3), 3) == Subspace.full(3)
 
     def test_identity(self):
-        rank, kern = rank_and_kernel(RationalMatrix.identity(3))
-        assert rank == 3
-        assert kern.dim == 0
+        assert rank(IDENTITY3) == 3
+        assert kernel(IDENTITY3, 3) == []
 
     def test_proportional_rows(self):
-        rank, kern = rank_and_kernel(M([[1, 2], [2, 4]]))
-        assert rank == 1
-        assert kern == Subspace.span([[2, -1]], 2)
+        m = [[1, 2], [2, 4]]
+        assert rank(m) == 1
+        assert Subspace.span(kernel(m, 2), 2) == Subspace.span([[2, -1]], 2)
 
     def test_rank_plus_kernel_dim(self):
-        m = M([[1, 2, 3], [4, 5, 6]])
-        rank, kern = rank_and_kernel(m)
-        assert rank + kern.dim == m.cols
-        for v in kern.basis:
-            assert all(x == 0 for x in m.mul_vec(v))
+        m = [[1, 2, 3], [4, 5, 6]]
+        kern = kernel(m, 3)
+        assert rank(m) + len(kern) == 3
+        for v in kern:
+            assert apply(m, v) == [0, 0]
+        # the left kernel is the kernel of the transpose
+        lam = left_kernel(transpose(m))
+        assert Subspace.span(lam, 3) == Subspace.span(kern, 3)
 
 
 class TestSolveLinear:
     def test_identity_solve(self):
-        assert solve_linear(RationalMatrix.identity(2), [3, 5]) == (3, 5)
+        assert solve_linear([[1, 0], [0, 1]], [3, 5]) == (3, 5)
 
     def test_underdetermined_canonical(self):
         # free variables are set to zero by back substitution
-        assert solve_linear(M([[1, 1]]), [2]) == (2, 0)
+        assert solve_linear([[1, 1]], [2]) == (2, 0)
 
     def test_inconsistent(self):
-        assert solve_linear(M([[1], [1]]), [0, 1]) is None
+        assert solve_linear([[1], [1]], [0, 1]) is None
 
     def test_rational_entries(self):
-        a = M([[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(2, 5)]])
+        a = [[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(2, 5)]]
         x = solve_linear(a, [Fraction(5, 6), Fraction(2, 5)])
         assert x is not None
-        assert a.mul_vec(x) == (Fraction(5, 6), Fraction(2, 5))
+        assert apply(a, x) == [Fraction(5, 6), Fraction(2, 5)]
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionError):
+            solve_linear([[1, 0], [0, 1]], [1])
 
 
 class TestSubspace:
@@ -72,27 +89,27 @@ class TestSubspace:
     def test_axis_planes(self):
         u = Subspace.span([[1, 0, 0]], 3)
         v = Subspace.span([[0, 1, 0]], 3)
-        ops = subspace_ops(u, v)
-        assert ops.sum.dim == 2
-        assert ops.intersection.dim == 0
-        assert not ops.contains
+        assert u.sum_with(v).dim == 2
+        assert u.intersect(v).dim == 0
+        assert not u.contains_subspace(v)
 
     def test_idempotence(self):
         u = Subspace.span([[1, 2], [0, 1]], 2)
-        ops = subspace_ops(u, u)
-        assert ops.sum == u
-        assert ops.intersection == u
-        assert ops.contains
+        assert u.sum_with(u) == u
+        assert u.intersect(u) == u
+        assert u.contains_subspace(u)
 
     def test_line_in_plane(self):
         u = Subspace.span([[1, 1, 0]], 3)
         v = Subspace.span([[1, 0, 0], [0, 1, 0]], 3)
         assert v.intersect(u) == u
-        assert subspace_ops(v, u).contains
+        assert v.contains_subspace(u)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            subspace_ops(Subspace.full(2), Subspace.full(3))
+        u, v = Subspace.full(2), Subspace.full(3)
+        for op in (u.sum_with, u.intersect, u.contains_subspace):
+            with pytest.raises(DimensionError):
+                op(v)
 
     def test_coefficients_of(self):
         u = Subspace.span([[1, 0, 2], [0, 1, 3]], 3)
@@ -118,8 +135,10 @@ def vectors(n):
     lambda n: st.tuples(st.just(n), st.lists(vectors(n), min_size=1, max_size=4))))
 def test_rank_equals_transpose_rank(data):
     n, rows = data
-    m = M(rows)
-    assert rank_and_kernel(m)[0] == rank_and_kernel(m.transpose())[0]
+    assert rank(rows) == rank(transpose(rows))
+    kern = kernel(rows, n)
+    assert rank(rows) + len(kern) == n
+    assert all(not any(apply(rows, v)) for v in kern)
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,8 +150,7 @@ def test_grassmann_identity(data):
     n, us, vs = data
     u = Subspace.span(us, n)
     v = Subspace.span(vs, n)
-    ops = subspace_ops(u, v)
-    assert ops.sum.dim + ops.intersection.dim == u.dim + v.dim
+    assert u.sum_with(v).dim + u.intersect(v).dim == u.dim + v.dim
 
 
 @settings(max_examples=60, deadline=None)

@@ -132,4 +132,4 @@ class TestBridge:
     def test_nonempty_matches_decide(self, maker, expected):
         e = maker()
         assert slice_nonempty(e, CFG) is expected
-        assert decide(e, CFG, use_catalog=False).a_regular is expected
+        assert decide(e, CFG).a_regular is expected

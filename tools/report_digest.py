@@ -4,7 +4,7 @@
 
 For every constructible catalog instance with ambient rank <= N (default
 4) this prints one canonical JSON line holding the row, its parameters,
-the verdict block of ``decide(..., use_catalog=False)`` (verdict,
+the verdict block of ``decide`` without a catalog (verdict,
 certificate with the witness or failure bound, invariants and
 ``routes_agreed``) and the fields of ``generic_stabilizer``, all at the
 default ``DecisionConfig``.  No line carries timing.  The last line is the
@@ -41,7 +41,7 @@ def instance_lines(max_rank: int):
             if call is None or descs is None:
                 continue
             e = embed(build_algebra(descs), call[0], call[1])
-            verdict = decide(e, cfg, use_catalog=False)
+            verdict = decide(e, cfg)
             rep = generic_stabilizer(e, seed=cfg.seed, trials=cfg.trials,
                                      coeff_bound=cfg.coeff_bound)
             yield json.dumps({
