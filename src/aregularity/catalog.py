@@ -15,6 +15,8 @@ block / diagonal / fixed-point matrix embeddings carry a constructor
 binding so that ``verify_row`` can rebuild the pair and compare the
 computed verdict against the table.  Exceptional and spin rows carry no
 constructor and are reported as skipped by the verification sweep.
+Row expressions are parsed once at load time into closures over a small
+arithmetic grammar; the data file is never evaluated as code.
 
 Pattern matching is structural (type lists plus constructor identity); it
 does not see outer automorphisms, so conjugacy classes that differ only by
@@ -24,11 +26,13 @@ with conflicting verdicts raises instead of guessing.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Optional
 
 from .lie_core import SimpleFactorDescriptor, UnsupportedTypeError, build_algebra
 from .subalgebras import Embedding, embed
@@ -37,6 +41,10 @@ from .criteria import DecisionConfig, Verdict, decide
 
 class CatalogChecksumError(RuntimeError):
     """The data file does not match its embedded checksum."""
+
+
+class CatalogFormatError(ValueError):
+    """A row expression or constraint is outside the catalog grammar."""
 
 
 class AmbiguousMatchError(LookupError):
@@ -53,28 +61,46 @@ _TABLE_IDS = ("T1_h_ess", "T2_levi", "T3_symmetric", "T4_spherical",
 
 _PARAM_MAX = 40
 
-_COMPILED: dict[str, object] = {}
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+        ast.Lt: operator.lt, ast.LtE: operator.le, ast.Gt: operator.gt,
+        ast.GtE: operator.ge, ast.Eq: operator.eq}
 
 
-def _compiled(expr: str):
-    code = _COMPILED.get(expr)
-    if code is None:
-        code = compile(expr, "<catalog>", "eval")
-        _COMPILED[expr] = code
-    return code
+def _expression(expr, names: set):
+    """Parse one catalog expression into a closure params -> value.
+
+    Allowed: integer literals, the row's parameter names, + - *, a single
+    comparison < <= > >= ==, and ``and`` / ``or``.  Anything else raises
+    CatalogFormatError at load time; nothing from the file is evaluated."""
+    if type(expr) is int:
+        return lambda p: expr
+    try:
+        return _closure(ast.parse(expr, mode="eval").body, names)
+    except (SyntaxError, TypeError, ValueError) as exc:
+        raise CatalogFormatError(
+            f"catalog expression {expr!r} is not allowed: {exc}") from None
 
 
-def _eval(expr, params: dict) -> int:
-    if isinstance(expr, int):
-        return expr
-    if expr in params:
-        return int(params[expr])
-    return int(eval(_compiled(expr), {"__builtins__": {}}, dict(params)))  # noqa: S307
-
-
-def _check(constraints: Sequence[str], params: dict) -> bool:
-    return all(eval(_compiled(c), {"__builtins__": {}}, dict(params))  # noqa: S307
-               for c in constraints)
+def _closure(node, names: set):
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        value = node.value
+        return lambda p: value
+    if isinstance(node, ast.Name) and node.id in names:
+        name = node.id
+        return lambda p: p[name]
+    if isinstance(node, ast.BoolOp):
+        fns = [_closure(v, names) for v in node.values]
+        if isinstance(node.op, ast.And):
+            return lambda p: all(f(p) for f in fns)
+        return lambda p: any(f(p) for f in fns)
+    if isinstance(node, ast.Compare) and len(node.ops) == 1:
+        node = ast.BinOp(node.left, node.ops[0], node.comparators[0])
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+        fn = _OPS[type(node.op)]
+        a, b = _closure(node.left, names), _closure(node.right, names)
+        return lambda p: fn(a(p), b(p))
+    raise CatalogFormatError(f"{type(node).__name__} "
+                             f"{getattr(node, 'id', '')}".rstrip())
 
 
 def _pattern_rank(kind: str, size: int) -> Optional[int]:
@@ -107,13 +133,16 @@ def _pattern_descriptor(kind: str, size: int) -> Optional[SimpleFactorDescriptor
 
 @dataclass(frozen=True)
 class CatalogRow:
+    """One table row.  Sizes, constraints and constructor arguments are
+    closures over the parameter dict, parsed by ``Catalog.from_document``."""
+
     table_id: str
     line: str
     display: str
     g_pattern: tuple
     h_pattern: tuple
     params: tuple[str, ...]
-    constraints: tuple[str, ...]
+    constraints: tuple
     verdict: Optional[bool]
     informational: bool
     constructor: Optional[tuple]
@@ -135,9 +164,8 @@ class CatalogRow:
                 return None
             return 2 * rank
         total = 0
-        for kind, size_expr in self.g_pattern:
-            size = _eval(size_expr, params)
-            r = _pattern_rank(kind, size)
+        for kind, size in self.g_pattern:
+            r = _pattern_rank(kind, size(params))
             if r is None:
                 return None
             total += r
@@ -152,8 +180,8 @@ class CatalogRow:
                 return None
             return [d, d]
         out = []
-        for kind, size_expr in self.g_pattern:
-            d = _pattern_descriptor(kind, _eval(size_expr, params))
+        for kind, size in self.g_pattern:
+            d = _pattern_descriptor(kind, size(params))
             if d is None:
                 return None
             out.append(d)
@@ -162,22 +190,11 @@ class CatalogRow:
     def constructor_call(self, params: dict) -> Optional[tuple[str, dict]]:
         if self.constructor is None:
             return None
-        name, arg_templates = self.constructor
-        args = {}
-        for key, tmpl in arg_templates.items():
-            if isinstance(tmpl, list):
-                args[key] = [_eval(t, params) for t in tmpl]
-            elif isinstance(tmpl, bool):
-                args[key] = tmpl
-            elif isinstance(tmpl, str) and tmpl in ("family",):
-                args[key] = params["family"]
-            else:
-                args[key] = _eval(tmpl, params)
-        # diagonal rows carry the family through as a string
-        if name == "diagonal":
-            args["family"] = params["family"]
-            args["rank"] = int(params["rank"])
-        return name, args
+        name, templates = self.constructor
+        return name, {key: t if isinstance(t, bool)
+                      else [f(params) for f in t] if isinstance(t, list)
+                      else t(params)
+                      for key, t in templates.items()}
 
 
 class Catalog:
@@ -194,17 +211,28 @@ class Catalog:
                 f"file claims {doc.get('sha256')}")
         rows = []
         for r in doc["rows"]:
+            names = set(r["params"])
+
+            def parse(x):
+                return _expression(x, names)
+
+            def arg(v):
+                if isinstance(v, list):
+                    return [parse(t) for t in v]
+                return v if isinstance(v, bool) else parse(v)
+
             rows.append(CatalogRow(
                 table_id=r["table"],
                 line=r["line"],
                 display=r["display"],
-                g_pattern=tuple(tuple(x) for x in r["g"]),
-                h_pattern=tuple(tuple(x) for x in r["h"]),
+                g_pattern=tuple((x[0], *map(parse, x[1:])) for x in r["g"]),
+                h_pattern=tuple((x[0], *map(parse, x[1:])) for x in r["h"]),
                 params=tuple(r["params"]),
-                constraints=tuple(r["constraints"]),
+                constraints=tuple(map(parse, r["constraints"])),
                 verdict=r["verdict"],
                 informational=r["informational"],
-                constructor=(r["constructor"][0], r["constructor"][1])
+                constructor=(r["constructor"][0], {
+                    k: arg(v) for k, v in r["constructor"][1].items()})
                 if r["constructor"] else None,
                 notes=r["notes"],
             ))
@@ -247,7 +275,7 @@ class Catalog:
 
         def rec(i, acc):
             if i == len(names):
-                if _check(row.constraints, acc):
+                if all(c(acc) for c in row.constraints):
                     r = row.ambient_rank(acc)
                     if r is not None and r <= max_rank:
                         yield dict(acc)
@@ -271,8 +299,7 @@ class Catalog:
 
     # -- lookup ---------------------------------------------------------------
 
-    def lookup(self, e: Embedding,
-               max_rank: int = 8) -> Optional[tuple[CatalogRow, dict]]:
+    def lookup(self, e: Embedding) -> Optional[tuple[CatalogRow, dict]]:
         """Structural match of an embedding against the table rows.
 
         Constructor-built embeddings match on constructor identity; custom
@@ -280,23 +307,24 @@ class Catalog:
         signature.  A miss returns None (informative on its own: for a
         simple ambient algebra with trivial essential subalgebra the pair
         is automatically a-regular).  Conflicting-verdict multi-matches
-        raise AmbiguousMatchError."""
-        amb_rank = e.ambient.rank
+        raise AmbiguousMatchError.  The answer is cached on ``e``, once per
+        catalog."""
+        key = ("catalog_lookup", self)
+        if key in e._cache:
+            return e._cache[key]
         matches: list[tuple[CatalogRow, dict]] = []
         for row in self.rows:
-            for params in self._param_assignments(row, amb_rank):
+            for params in self._param_assignments(row, e.ambient.rank):
                 if self._row_matches(row, params, e):
                     matches.append((row, params))
                     break
-        if not matches:
-            return None
         verdicts = {m[0].verdict for m in matches if m[0].verdict is not None}
         if len(verdicts) > 1:
             raise AmbiguousMatchError([m[0] for m in matches])
-        for m in matches:
-            if m[0].verdict is not None:
-                return m
-        return matches[0]
+        hit = next((m for m in matches if m[0].verdict is not None),
+                   matches[0] if matches else None)
+        e._cache[key] = hit
+        return hit
 
     def _row_matches(self, row: CatalogRow, params: dict, e: Embedding) -> bool:
         descs = row.ambient_descriptors(params)
@@ -312,47 +340,46 @@ class Catalog:
             return _normalize_args(name, args) == _normalize_args(name, call[1])
         # custom embedding: compare ideal-type signatures by dimension
         want_center = 0
-        want_ideals: list[int] = []
+        want_simple_dims: list[int] = []
         if row.is_diagonal_row():
             d = SimpleFactorDescriptor(params["family"], int(params["rank"]))
-            want_ideals = [d.dim]
+            want_simple_dims = [d.dim]
         else:
-            for kind, size_expr in row.h_pattern:
-                size = _eval(size_expr, params)
+            for kind, size_fn in row.h_pattern:
+                size = size_fn(params)
                 if kind == "C":
                     want_center += size
                 elif kind == "gl":
                     if size >= 1:
                         want_center += 1
                     if size >= 2:
-                        want_ideals.append(size * size - 1)
+                        want_simple_dims.append(size * size - 1)
                 elif kind == "sl":
                     if size >= 2:
-                        want_ideals.append(size * size - 1)
+                        want_simple_dims.append(size * size - 1)
                 elif kind == "so":
                     if size == 2:
                         want_center += 1
                     elif size == 4:
-                        want_ideals.extend([3, 3])
+                        want_simple_dims.extend([3, 3])
                     elif size >= 3:
-                        want_ideals.append(size * (size - 1) // 2)
+                        want_simple_dims.append(size * (size - 1) // 2)
                 elif kind == "sp":
                     if size >= 2:
-                        want_ideals.append(size * (size + 1) // 2)
+                        want_simple_dims.append(size * (size + 1) // 2)
                 elif kind in ("e", "f", "g"):
                     return False
-        if want_center + sum(want_ideals) != e.dim_h:
+        if want_center + sum(want_simple_dims) != e.dim_h:
             return False
-        # splitting a large subalgebra is expensive; identify only when
-        # the decomposition is already known or cheap to compute
-        if e._ideals is None and e.dim_h > _STRUCTURAL_MATCH_BOUND:
+        # splitting a large subalgebra is expensive; identify only small ones
+        if e.dim_h > _STRUCTURAL_MATCH_BOUND:
             return False
         try:
             dec = e.ideal_decomposition
         except Exception:
             return False
         return dec.center.dim == want_center and \
-            sorted(p.dim for p in dec.simple_ideals) == sorted(want_ideals)
+            sorted(p.dim for p in dec.simple_ideals) == sorted(want_simple_dims)
 
 
 _STRUCTURAL_MATCH_BOUND = 16

@@ -76,16 +76,7 @@ def _vec(v):
     return [_num(Fraction(x)) for x in v]
 
 
-def _parse_entry(x):
-    if isinstance(x, (int, str)):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise DescriptorError(f"matrix entries must be integers or 'p/q' strings, got {x!r}")
-
-
-def load_pair(doc: dict, field_path: str = "") -> Embedding:
+def load_pair(doc: dict) -> Embedding:
     """Build a validated embedding from a descriptor document."""
     if not isinstance(doc, dict):
         raise DescriptorError("descriptor root must be an object")
@@ -93,16 +84,17 @@ def load_pair(doc: dict, field_path: str = "") -> Embedding:
         raise DescriptorError("missing field 'g'")
     if "h" not in doc:
         raise DescriptorError("missing field 'h'")
+    if not isinstance(doc["g"], list) or not doc["g"]:
+        raise DescriptorError("g must be a non-empty list of factor objects")
     factors = []
     for i, f in enumerate(doc["g"]):
         if not isinstance(f, dict) or "family" not in f or "rank" not in f:
             raise DescriptorError(f"g[{i}] must be an object with 'family' and 'rank'")
         if f.get("center"):
             raise DescriptorError(f"g[{i}].center: ambient must be semisimple")
-        try:
-            factors.append((str(f["family"]), int(f["rank"])))
-        except (TypeError, ValueError) as exc:
-            raise DescriptorError(f"g[{i}]: {exc}") from exc
+        if type(f["rank"]) is not int:
+            raise DescriptorError(f"g[{i}].rank must be an integer, got {f['rank']!r}")
+        factors.append((str(f["family"]), f["rank"]))
     try:
         ambient = build_algebra(factors)
     except (ValueError, UnsupportedTypeError) as exc:
@@ -113,16 +105,11 @@ def load_pair(doc: dict, field_path: str = "") -> Embedding:
     top_involution = doc.get("involution")
     if "custom" in h:
         spec = h["custom"]
-        if "matrices" not in spec:
-            raise DescriptorError("h.custom.matrices is required")
-        mats = [[[_parse_entry(x) for x in row] for row in m]
-                for m in spec["matrices"]]
-        params = {"matrices": mats}
-        if "involution" in spec:
-            params["involution"] = spec["involution"]
-        elif top_involution is not None:
-            params["involution"] = top_involution
-        return build_embedding(ambient, "custom", params)
+        if not isinstance(spec, dict) or "matrices" not in spec:
+            raise DescriptorError("h.custom must be an object with 'matrices'")
+        return build_embedding(ambient, "custom", {
+            "matrices": spec["matrices"],
+            "involution": spec.get("involution", top_involution)})
     if top_involution is not None:
         raise DescriptorError(
             "involution: only accepted with a custom h (named constructors "

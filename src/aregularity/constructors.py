@@ -1,8 +1,9 @@
 """Named constructors for the subalgebra embeddings of the catalog rows.
 
-Every constructor returns matrices in the ambient matrix space together
-with the known center / simple-ideal split and, for symmetric embeddings,
-the involution whose fixed-point set is the subalgebra.  All results are
+Every constructor returns the matrices of h in the ambient matrix space
+and, for symmetric embeddings, the involution whose fixed-point set is h.
+Nothing else is declared: the center / simple-ideal split of h is derived
+from h itself (``Embedding.ideal_decomposition``).  All results are
 validated by ``Embedding`` (bracket closure, involution axioms), so a
 wrong construction fails loudly at build time.
 """
@@ -10,11 +11,12 @@ wrong construction fails loudly at build time.
 from __future__ import annotations
 
 import inspect
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .exact_linalg import Subspace, combine, left_kernel, rref
+from .exact_linalg import Subspace, left_kernel, rref
 from .lie_core import (
     LieAlgebra,
     SimpleFactorDescriptor,
@@ -22,18 +24,18 @@ from .lie_core import (
     _factor_data,
     build_algebra,
 )
-from .subalgebras import Embedding, IdealDecomposition, InvalidSubalgebraError
+from .subalgebras import Embedding, InvalidSubalgebraError
 
 
 @dataclass
 class _Blueprint:
-    """Constructor output before coordinatization."""
+    """Constructor output before coordinatization: the matrices spanning h
+    and the involution spec, or None when the embedding is not symmetric.
+
+    Specs: ("swap",) exchanges two equal simple factors; ("conj", S) is
+    X -> S X S^-1; ("neg_transpose", S) is X -> -S X^T S^-1."""
 
     matrices: list[SparseMatrix] = field(default_factory=list)
-    center: list[SparseMatrix] = field(default_factory=list)
-    ideal_groups: list[list[SparseMatrix]] = field(default_factory=list)
-    # involution spec: ("neg_transpose",), ("conj", S_dense), ("swap",),
-    # or None when the embedding is not symmetric
     theta: Optional[tuple] = None
 
 
@@ -83,10 +85,12 @@ def _sp_remap(k: int, pair_indices: Sequence[int], amb_rank: int,
     ambient sp(2*amb_rank) block starting at matrix offset ``off``.
 
     ``pair_indices`` lists the first coordinates a < amb_rank of the pairs
-    (a, 2*amb_rank-1-a) the subblock occupies.
+    (a, 2*amb_rank-1-a) the subblock occupies; k = 0 gives no matrices.
     """
     if len(pair_indices) != k:
         raise ValueError("pair count does not match subblock rank")
+    if k == 0:
+        return []
     m_amb = 2 * amb_rank
     iota = {}
     for u, a in enumerate(pair_indices):
@@ -231,81 +235,47 @@ def _block_stabilizer_in_factor(ambient: LieAlgebra, fi: int,
 # -- individual constructors ----------------------------------------------------
 
 
+def _dense_diag(entries: Sequence[int]) -> list[list[int]]:
+    return [[v if i == j else 0 for j in range(len(entries))]
+            for i, v in enumerate(entries)]
+
+
 def _c_levi(ambient: LieAlgebra, blocks: Sequence[int]) -> _Blueprint:
     blocks = list(blocks)
     n = sum(blocks)
     _expect_factors(ambient, [("A", n - 1)], "levi")
     if any(b < 1 for b in blocks) or len(blocks) < 1:
         raise ValueError("levi blocks must be positive")
-    bp = _Blueprint()
-    off = 0
-    for b in blocks:
-        if b >= 2:
-            group = _sl_block(off, b)
-            bp.ideal_groups.append(group)
-            bp.matrices.extend(group)
-        off += b
     offsets = [sum(blocks[:i]) for i in range(len(blocks))]
+    mats = [m for off, b in zip(offsets, blocks) for m in _sl_block(off, b)]
     for i in range(len(blocks) - 1):
-        z: dict[int, int] = {}
-        for t in range(blocks[i]):
-            z[offsets[i] + t] = blocks[i + 1]
-        for t in range(blocks[i + 1]):
-            z[offsets[i + 1] + t] = -blocks[i]
-        zmat = _diag(z)
-        bp.center.append(zmat)
-        bp.matrices.append(zmat)
-    return bp
+        mats.append(_diag({offsets[i] + t: blocks[i + 1] for t in range(blocks[i])}
+                          | {offsets[i + 1] + t: -blocks[i]
+                             for t in range(blocks[i + 1])}))
+    return _Blueprint(mats)
 
 
 def _c_block_sgl(ambient: LieAlgebra, p: int, q: int) -> _Blueprint:
-    bp = _c_levi(ambient, [p, q])
-    signs = [1] * p + [-1] * q
-    bp.theta = ("conj_signs", signs)
-    return bp
+    return _Blueprint(_c_levi(ambient, [p, q]).matrices,
+                      ("conj", _dense_diag([1] * p + [-1] * q)))
 
 
 def _c_block_ss(ambient: LieAlgebra, p: int, q: int) -> _Blueprint:
     _expect_factors(ambient, [("A", p + q - 1)], "block_ss")
-    bp = _Blueprint()
-    if p >= 2:
-        g1 = _sl_block(0, p)
-        bp.ideal_groups.append(g1)
-        bp.matrices.extend(g1)
-    if q >= 2:
-        g2 = _sl_block(p, q)
-        bp.ideal_groups.append(g2)
-        bp.matrices.extend(g2)
-    return bp
+    return _Blueprint(_sl_block(0, p) + _sl_block(p, q))
 
 
 def _c_block_one(ambient: LieAlgebra, k: int) -> _Blueprint:
     fam, rank = ambient.factors[0].family, ambient.factors[0].rank
     if fam != "A" or len(ambient.factors) != 1 or k > rank:
         raise InvalidSubalgebraError("block_one needs an ambient sl with room")
-    bp = _Blueprint()
-    g = _sl_block(0, k)
-    bp.ideal_groups.append(g)
-    bp.matrices.extend(g)
-    return bp
+    return _Blueprint(_sl_block(0, k))
 
 
 def _c_so_in_sl(ambient: LieAlgebra, n: int) -> _Blueprint:
     _expect_factors(ambient, [("A", n - 1)], "so_in_sl")
-    bp = _Blueprint()
-    group = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            group.append({(a, b): 1, (b, a): -1})
-    bp.matrices.extend(group)
-    if n == 2:
-        bp.center = group
-    elif n == 4:
-        bp.ideal_groups = []  # so(4) splits; computed on demand
-    else:
-        bp.ideal_groups.append(group)
-    bp.theta = ("neg_transpose",)
-    return bp
+    mats = [{(a, b): 1, (b, a): -1} for a in range(n) for b in range(a + 1, n)]
+    return _Blueprint(mats, ("neg_transpose", _dense_diag([1] * n)))
 
 
 def _c_sp_in_sl(ambient: LieAlgebra, n: int) -> _Blueprint:
@@ -313,21 +283,19 @@ def _c_sp_in_sl(ambient: LieAlgebra, n: int) -> _Blueprint:
     if len(ambient.factors) != 1 or fam.family != "A" or \
             fam.matrix_size not in (2 * n, 2 * n + 1):
         raise InvalidSubalgebraError("sp_in_sl needs ambient sl(2n) or sl(2n+1)")
-    bp = _Blueprint()
-    group = list(_factor_data(SimpleFactorDescriptor("C", n)).basis)
-    bp.ideal_groups.append(group)
-    bp.matrices.extend(group)
+    bp = _Blueprint(list(_factor_data(SimpleFactorDescriptor("C", n)).basis))
     if fam.matrix_size == 2 * n:
-        bp.theta = ("sp_transpose", n)
+        # Omega is the antidiagonal symplectic form of sp(2n): -Omega X^T Omega^-1
+        omega = [[(1 if i < n else -1) if i + j == 2 * n - 1 else 0
+                  for j in range(2 * n)] for i in range(2 * n)]
+        bp.theta = ("neg_transpose", omega)
     return bp
 
 
 def _c_sp_plus_center(ambient: LieAlgebra, n: int) -> _Blueprint:
     _expect_factors(ambient, [("A", 2 * n)], "sp_plus_center")
     bp = _c_sp_in_sl(ambient, n)
-    z = _diag({i: 1 for i in range(2 * n)} | {2 * n: -2 * n})
-    bp.center.append(z)
-    bp.matrices.append(z)
+    bp.matrices.append(_diag({i: 1 for i in range(2 * n)} | {2 * n: -2 * n}))
     return bp
 
 
@@ -335,23 +303,10 @@ def _gl_levi(m: int) -> _Blueprint:
     """gl(n), n = m // 2, acting on the first n coordinates of C^m and dually
     on the last n (the antidiagonal forms pair them); symmetric for even m."""
     n = m // 2
-    bp = _Blueprint()
-    ideal = []
-    for a in range(n):
-        for b in range(n):
-            mat = {(a, b): 1, (m - 1 - b, m - 1 - a): -1}
-            bp.matrices.append(mat)
-            if a != b:
-                ideal.append(mat)
-    for a in range(n - 1):
-        ideal.append(_merge({(a, a): 1, (m - 1 - a, m - 1 - a): -1},
-                            {(a + 1, a + 1): -1, (m - 2 - a, m - 2 - a): 1}))
-    z = _diag({a: 1 for a in range(n)} | {m - 1 - a: -1 for a in range(n)})
-    bp.center.append(z)
-    if n >= 2:
-        bp.ideal_groups.append(ideal)
+    bp = _Blueprint([{(a, b): 1, (m - 1 - b, m - 1 - a): -1}
+                     for a in range(n) for b in range(n)])
     if m % 2 == 0:
-        bp.theta = ("conj_signs", [1] * n + [-1] * n)
+        bp.theta = ("conj", _dense_diag([1] * n + [-1] * n))
     return bp
 
 
@@ -374,54 +329,12 @@ def _c_so_block(ambient: LieAlgebra, p: int, q: int) -> _Blueprint:
     if len(ambient.factors) != 1 or fam.family not in ("B", "D") or \
             fam.matrix_size != m:
         raise InvalidSubalgebraError("so_block needs ambient so(p+q)")
-    v1, v2 = _orthogonal_split(m, p, q)
-    proj = _projector(m, v1, v2)
+    proj = _projector(m, *_orthogonal_split(m, p, q))
     h_vecs = _block_stabilizer_in_factor(ambient, 0, proj)
-    expected = p * (p - 1) // 2 + q * (q - 1) // 2
-    if len(h_vecs) != expected:
+    if len(h_vecs) != p * (p - 1) // 2 + q * (q - 1) // 2:
         raise InvalidSubalgebraError("so_block stabilizer has unexpected dimension")
-    bp = _Blueprint()
-    bp.matrices = [ambient.matrix_of(v) for v in h_vecs]
-    s_dense = [[2 * proj[i][j] - (1 if i == j else 0) for j in range(m)]
-               for i in range(m)]
-    bp.theta = ("conj_dense", s_dense)
-    bp.ideal_groups, bp.center = _so_block_pieces(ambient, h_vecs, v1, v2, p, q)
-    return bp
-
-
-def _so_block_pieces(ambient, h_vecs, v1, v2, p, q):
-    """Split block-stabilizer vectors into the so(p) and so(q) parts.
-
-    so(2) parts are central; an so(4) part is further split into its two
-    sl(2) ideals so that every reported ideal is simple."""
-    from .subalgebras import _split_semisimple
-
-    groups, center = [], []
-    m = p + q
-    for keep, kill, size in ((v1, v2, p), (v2, v1, q)):
-        if size < 2:
-            continue
-        rows = []
-        for v in h_vecs:
-            mat = ambient.matrix_of(v)
-            row = []
-            for w in kill:
-                img = [Fraction(0)] * m
-                for (a, b), val in mat.items():
-                    if w[b]:
-                        img[a] += val * w[b]
-                row.extend(img)
-            rows.append(row)
-        part_vecs = [combine(lam, h_vecs, ambient.dim) for lam in left_kernel(rows)]
-        if size == 2:
-            center.extend(ambient.matrix_of(v) for v in part_vecs)
-        elif size == 4:
-            sub = Subspace.span(part_vecs, ambient.dim)
-            for piece in _split_semisimple(ambient, sub):
-                groups.append([ambient.matrix_of(v) for v in piece.basis])
-        else:
-            groups.append([ambient.matrix_of(v) for v in part_vecs])
-    return groups, center
+    reflection = [[2 * proj[i][j] - (i == j) for j in range(m)] for i in range(m)]
+    return _Blueprint([ambient.matrix_of(v) for v in h_vecs], ("conj", reflection))
 
 
 def _c_so_diag_pair(ambient: LieAlgebra, n: int) -> _Blueprint:
@@ -460,41 +373,20 @@ def _c_so_diag_pair(ambient: LieAlgebra, n: int) -> _Blueprint:
             W.append(vec)
     first = _so_in_subspace(m1, W, n, 0)
     second = [_shift(mat, m1) for mat in _so_standard_basis(n)]
-    bp = _Blueprint()
-    group = [_merge(a, b) for a, b in zip(first, second)]
-    bp.matrices.extend(group)
-    bp.ideal_groups.append(group)
-    return bp
+    return _Blueprint([_merge(a, b) for a, b in zip(first, second)])
 
 
 def _c_sl_gl_pair(ambient: LieAlgebra, n: int) -> _Blueprint:
     _expect_factors(ambient, [("A", n), ("A", n - 1)], "sl_gl_pair")
-    off2 = n + 1
-    bp = _Blueprint()
-    group = []
-    for mat in _sl_block(0, n):
-        group.append(_merge(mat, _shift(mat, off2)))
-    bp.matrices.extend(group)
-    if n >= 2:
-        bp.ideal_groups.append(group)
-    z = _diag({i: 1 for i in range(n)} | {n: -n})
-    bp.center.append(z)
-    bp.matrices.append(z)
-    return bp
+    mats = [_merge(mat, _shift(mat, n + 1)) for mat in _sl_block(0, n)]
+    return _Blueprint(mats + [_diag({i: 1 for i in range(n)} | {n: -n})])
 
 
 def _c_diagonal(ambient: LieAlgebra, family: str, rank: int) -> _Blueprint:
     desc = SimpleFactorDescriptor(family, rank)
     _expect_factors(ambient, [(family, rank)] * 2, "diagonal")
-    size = desc.matrix_size
-    bp = _Blueprint()
-    group = []
-    for mat in _factor_data(desc).basis:
-        group.append(_merge(mat, _shift(mat, size)))
-    bp.matrices.extend(group)
-    bp.ideal_groups.append(group)
-    bp.theta = ("swap",)
-    return bp
+    return _Blueprint([_merge(mat, _shift(mat, desc.matrix_size))
+                       for mat in _factor_data(desc).basis], ("swap",))
 
 
 def _c_sp_block(ambient: LieAlgebra, parts: Sequence[int]) -> _Blueprint:
@@ -506,17 +398,11 @@ def _c_sp_block(ambient: LieAlgebra, parts: Sequence[int]) -> _Blueprint:
     bp = _Blueprint()
     start = 0
     for k in parts:
-        group = _sp_remap(k, range(start, start + k), n, 0)
-        bp.ideal_groups.append(group)
-        bp.matrices.extend(group)
+        bp.matrices.extend(_sp_remap(k, range(start, start + k), n, 0))
         start += k
     if len(parts) == 2:
-        signs = [0] * (2 * n)
-        for a in range(parts[0]):
-            signs[a] = signs[2 * n - 1 - a] = 1
-        for a in range(parts[0], n):
-            signs[a] = signs[2 * n - 1 - a] = -1
-        bp.theta = ("conj_signs", signs)
+        signs = [1] * parts[0] + [-1] * (2 * parts[1]) + [1] * parts[0]
+        bp.theta = ("conj", _dense_diag(signs))
     return bp
 
 
@@ -524,14 +410,8 @@ def _c_sp_sub_center(ambient: LieAlgebra, n: int) -> _Blueprint:
     _expect_factors(ambient, [("C", n)], "sp_sub_center")
     if n < 2:
         raise ValueError("sp_sub_center needs n >= 2")
-    bp = _Blueprint()
-    group = _sp_remap(n - 1, range(1, n), n, 0)
-    bp.ideal_groups.append(group)
-    bp.matrices.extend(group)
-    z = _diag({0: 1, 2 * n - 1: -1})
-    bp.center.append(z)
-    bp.matrices.append(z)
-    return bp
+    return _Blueprint(_sp_remap(n - 1, range(1, n), n, 0)
+                      + [_diag({0: 1, 2 * n - 1: -1})])
 
 
 def _glued_sp(ambient: LieAlgebra, k: int,
@@ -549,72 +429,38 @@ def _glued_sp(ambient: LieAlgebra, k: int,
     return out
 
 
+def _sp_lower(ambient: LieAlgebra, fi: int, k: int) -> list[SparseMatrix]:
+    """sp(2k-2) on the first k-1 symplectic pairs of the sp(2k) factor fi."""
+    return _sp_remap(k - 1, range(k - 1), k, ambient.factor_matrix_offsets[fi])
+
+
 def _c_sp_diag2(ambient: LieAlgebra, m: int, n: int) -> _Blueprint:
     _expect_factors(ambient, [("C", m), ("C", n)], "sp_diag2")
-    bp = _Blueprint()
-    off2 = ambient.factor_matrix_offsets[1]
-    if m >= 2:
-        g = _sp_remap(m - 1, range(m - 1), m, 0)
-        bp.ideal_groups.append(g)
-        bp.matrices.extend(g)
-    if n >= 2:
-        g = _sp_remap(n - 1, range(n - 1), n, off2)
-        bp.ideal_groups.append(g)
-        bp.matrices.extend(g)
     glued = _glued_sp(ambient, 1, [(0, [m - 1]), (1, [n - 1])])
-    bp.ideal_groups.append(glued)
-    bp.matrices.extend(glued)
-    return bp
+    return _Blueprint(_sp_lower(ambient, 0, m) + _sp_lower(ambient, 1, n) + glued)
 
 
 def _c_sp4_diag(ambient: LieAlgebra, n: int) -> _Blueprint:
     _expect_factors(ambient, [("C", n), ("C", 2)], "sp4_diag")
     if n < 3:
         raise ValueError("sp4_diag needs n >= 3")
-    bp = _Blueprint()
-    if n >= 3:
-        g = _sp_remap(n - 2, range(n - 2), n, 0)
-        if g:
-            bp.ideal_groups.append(g)
-            bp.matrices.extend(g)
     glued = _glued_sp(ambient, 2, [(0, [n - 2, n - 1]), (1, [0, 1])])
-    bp.ideal_groups.append(glued)
-    bp.matrices.extend(glued)
-    return bp
+    return _Blueprint(_sp_remap(n - 2, range(n - 2), n, 0) + glued)
 
 
 def _c_sp_diag3(ambient: LieAlgebra, l: int, m: int, n: int) -> _Blueprint:
     _expect_factors(ambient, [("C", l), ("C", m), ("C", n)], "sp_diag3")
-    bp = _Blueprint()
-    for fi, k in enumerate((l, m, n)):
-        if k >= 2:
-            off = ambient.factor_matrix_offsets[fi]
-            g = _sp_remap(k - 1, range(k - 1), k, off)
-            bp.ideal_groups.append(g)
-            bp.matrices.extend(g)
+    mats = [x for fi, k in enumerate((l, m, n)) for x in _sp_lower(ambient, fi, k)]
     glued = _glued_sp(ambient, 1, [(0, [l - 1]), (1, [m - 1]), (2, [n - 1])])
-    bp.ideal_groups.append(glued)
-    bp.matrices.extend(glued)
-    return bp
+    return _Blueprint(mats + glued)
 
 
 def _c_sp_chain4(ambient: LieAlgebra, n: int, m: int) -> _Blueprint:
     _expect_factors(ambient, [("C", n), ("C", 2), ("C", m)], "sp_chain4")
-    bp = _Blueprint()
-    if n >= 2:
-        g = _sp_remap(n - 1, range(n - 1), n, 0)
-        bp.ideal_groups.append(g)
-        bp.matrices.extend(g)
-    if m >= 2:
-        off3 = ambient.factor_matrix_offsets[2]
-        g = _sp_remap(m - 1, range(m - 1), m, off3)
-        bp.ideal_groups.append(g)
-        bp.matrices.extend(g)
     glue_a = _glued_sp(ambient, 1, [(0, [n - 1]), (1, [0])])
     glue_b = _glued_sp(ambient, 1, [(1, [1]), (2, [m - 1])])
-    bp.ideal_groups.extend([glue_a, glue_b])
-    bp.matrices.extend(glue_a + glue_b)
-    return bp
+    return _Blueprint(_sp_lower(ambient, 0, n) + _sp_lower(ambient, 2, m)
+                      + glue_a + glue_b)
 
 
 def _c_sl_sp_glue(ambient: LieAlgebra, n: int, m: int,
@@ -622,15 +468,10 @@ def _c_sl_sp_glue(ambient: LieAlgebra, n: int, m: int,
     _expect_factors(ambient, [("A", n - 1), ("C", m)], "sl_sp_glue")
     if n < 3:
         raise ValueError("sl_sp_glue needs n >= 3")
-    bp = _Blueprint()
-    if n - 2 >= 2:
-        g = _sl_block(0, n - 2)
-        bp.ideal_groups.append(g)
-        bp.matrices.extend(g)
+    bp = _Blueprint(_sl_block(0, n - 2))
     if with_center:
-        z = _diag({i: 2 for i in range(n - 2)} | {n - 2: -(n - 2), n - 1: -(n - 2)})
-        bp.center.append(z)
-        bp.matrices.append(z)
+        bp.matrices.append(_diag({i: 2 for i in range(n - 2)}
+                                 | {n - 2: -(n - 2), n - 1: -(n - 2)}))
     off2 = ambient.factor_matrix_offsets[1]
     # diagonal sl(2) = sp(2): block rows n-2, n-1 of sl(n) glued with the
     # first symplectic pair of sp(2m); basis order (h, e, f) on both sides
@@ -639,14 +480,8 @@ def _c_sl_sp_glue(ambient: LieAlgebra, n: int, m: int,
         {(n - 2, n - 1): 1},
         {(n - 1, n - 2): 1},
     ]
-    sp2 = _sp_remap(1, [0], m, off2)
-    glued = [_merge(a, b) for a, b in zip(sl2, sp2)]
-    bp.ideal_groups.append(glued)
-    bp.matrices.extend(glued)
-    if m >= 2:
-        g = _sp_remap(m - 1, range(1, m), m, off2)
-        bp.ideal_groups.append(g)
-        bp.matrices.extend(g)
+    bp.matrices.extend(_merge(a, b) for a, b in zip(sl2, _sp_remap(1, [0], m, off2)))
+    bp.matrices.extend(_sp_remap(m - 1, range(1, m), m, off2))
     return bp
 
 
@@ -654,16 +489,9 @@ def _c_chain_image(ambient: LieAlgebra, n: int) -> _Blueprint:
     _expect_factors(ambient, [("A", n), ("A", 1)], "chain_image")
     if n < 2:
         raise ValueError("chain_image needs n >= 2")
-    off2 = n + 1
-    bp = _Blueprint()
-    group = _sl_block(0, n)
-    bp.ideal_groups.append(group)
-    bp.matrices.extend(group)
     t = _merge(_diag({i: 1 for i in range(n)} | {n: -n}),
-               {(off2, off2): 1, (off2 + 1, off2 + 1): -1})
-    bp.center.append(t)
-    bp.matrices.append(t)
-    return bp
+               {(n + 1, n + 1): 1, (n + 2, n + 2): -1})
+    return _Blueprint(_sl_block(0, n) + [t])
 
 
 _REGISTRY: dict[str, Callable[..., _Blueprint]] = {
@@ -705,101 +533,69 @@ def constructor_names() -> list[str]:
 
 
 def _theta_cols_from_spec(ambient: LieAlgebra, spec: tuple) -> list:
-    kind = spec[0]
+    """Columns of the involution in the ambient basis (see ``_Blueprint``)."""
     L = ambient
-    n = L.matrix_size
-    if kind == "swap":
-        size = L.factors[0].matrix_size
+    if spec[0] == "swap":
+        if len(L.factors) != 2 or L.factors[0] != L.factors[1] or L.center_dim:
+            raise InvalidSubalgebraError("swap needs two equal simple factors")
         d = L.factor_basis_slices[0][1]
-        cols = []
-        for j in range(L.dim):
-            img = [0] * L.dim
-            img[j + d if j < d else j - d] = 1
-            cols.append(img)
-        return cols
-    if kind == "neg_transpose":
-        cols = []
-        for j in range(L.dim):
-            mat = {(b, a): -v for (a, b), v in L.basis[j].items()}
-            coords = L.coords_of_matrix(mat)
-            if coords is None:
-                raise InvalidSubalgebraError("negative transpose leaves the algebra")
-            cols.append(coords)
-        return cols
-    if kind == "conj_signs":
-        signs = spec[1]
-        cols = []
-        for j in range(L.dim):
-            mat = {(a, b): signs[a] * signs[b] * v for (a, b), v in L.basis[j].items()}
-            coords = L.coords_of_matrix(mat)
-            if coords is None:
-                raise InvalidSubalgebraError("sign conjugation leaves the algebra")
-            cols.append(coords)
-        return cols
-    if kind == "sp_transpose":
-        # X -> Omega X^T Omega with the antidiagonal symplectic form
-        k = spec[1]
-        m = 2 * k
-
-        def eps(a):
-            return 1 if a < k else -1
-
-        cols = []
-        for j in range(L.dim):
-            mat: SparseMatrix = {}
-            for (a, b), v in L.basis[j].items():
-                # (Omega X^T Omega)[i][l] = eps(i) eps(l') X[l'][i'] with
-                # i' = m-1-i; expand directly
-                i2, l2 = m - 1 - b, m - 1 - a
-                mat[(i2, l2)] = mat.get((i2, l2), 0) + eps(i2) * eps(a) * v
-            coords = L.coords_of_matrix(mat)
-            if coords is None:
-                raise InvalidSubalgebraError("symplectic transpose leaves the algebra")
-            cols.append(coords)
-        return cols
-    if kind == "conj_dense":
-        s = spec[1]
-        msize = len(s)
-        sinv = _inverse(s, "the conjugating matrix")
-        cols = []
-        for j in range(L.dim):
-            mat: SparseMatrix = {}
-            for (a, b), v in L.basis[j].items():
-                for i in range(msize):
-                    if s[i][a]:
-                        for l in range(msize):
-                            if sinv[b][l]:
-                                nv = mat.get((i, l), 0) + s[i][a] * v * sinv[b][l]
-                                if nv:
-                                    mat[(i, l)] = nv
-                                else:
-                                    mat.pop((i, l), None)
-            coords = L.coords_of_matrix(mat)
-            if coords is None:
-                raise InvalidSubalgebraError("conjugation leaves the algebra")
-            cols.append(coords)
-        return cols
-    raise ValueError(f"unknown involution spec {kind}")
+        return [[int(i == (j + d) % L.dim) for i in range(L.dim)]
+                for j in range(L.dim)]
+    kind, s = spec
+    m = L.matrix_size
+    if kind not in ("conj", "neg_transpose"):
+        raise ValueError(f"unknown involution spec {kind}")
+    if len(s) != m or any(len(row) != m for row in s):
+        raise InvalidSubalgebraError(f"the {kind} matrix must be {m} x {m}")
+    sinv = _inverse(s, f"the {kind} matrix")
+    s_cols = [[(i, s[i][a]) for i in range(m) if s[i][a]] for a in range(m)]
+    sinv_rows = [[(c, sinv[b][c]) for c in range(m) if sinv[b][c]] for b in range(m)]
+    sign = 1 if kind == "conj" else -1
+    cols = []
+    for x in L.basis:
+        img: SparseMatrix = {}
+        for (a, b), v in x.items():
+            if kind == "neg_transpose":
+                a, b = b, a
+            for i, sa in s_cols[a]:
+                for c, sb in sinv_rows[b]:
+                    img[(i, c)] = img.get((i, c), 0) + sign * sa * v * sb
+        coords = L.coords_of_matrix(
+            {pos: w.numerator if w.denominator == 1 else w
+             for pos, w in img.items() if w})
+        if coords is None:
+            raise InvalidSubalgebraError(f"the {kind} involution leaves the algebra")
+        cols.append(coords)
+    return cols
 
 
-def _coords_list(ambient: LieAlgebra, mats: list[SparseMatrix]) -> list:
-    out = []
+def _embedding(ambient: LieAlgebra, mats: list[SparseMatrix], theta: Optional[tuple],
+               constructor: tuple[str, dict]) -> Embedding:
+    vectors = []
     for mat in mats:
         coords = ambient.coords_of_matrix(mat)
         if coords is None:
             raise InvalidSubalgebraError("constructed matrix lies outside the algebra")
-        out.append(coords)
-    return out
+        vectors.append(coords)
+    h = Subspace.span(vectors, ambient.dim)
+    if h.dim != len(vectors):
+        raise InvalidSubalgebraError(
+            f"constructor {constructor[0]} produced a dependent spanning set")
+    theta_cols = _theta_cols_from_spec(ambient, theta) if theta else None
+    return Embedding(ambient, h, constructor=constructor, theta_cols=theta_cols)
 
 
 def embed(ambient: LieAlgebra, constructor: str, params: Optional[dict] = None) -> Embedding:
     """Build a validated embedding from a named constructor.
 
     Named constructors' parameters are checked against their signatures
-    (names and JSON types) before the constructor runs.  ``custom`` takes {"matrices": [...dense rows...], "involution": spec?};
+    (names and JSON types) before the constructor runs.  ``custom`` takes
+    {"matrices": [...dense rows...], "involution": spec?};
     ``direct_sum`` takes {"parts": [{"constructor", "params", "factors"}]},
     the parts consuming the ambient simple factors in order.
     """
+    if params is not None and not isinstance(params, dict):
+        raise InvalidSubalgebraError(f"constructor {constructor}: params must be an object")
     params = dict(params or {})
     if constructor == "custom":
         return _embed_custom(ambient, params)
@@ -820,55 +616,53 @@ def embed(ambient: LieAlgebra, constructor: str, params: Optional[dict] = None) 
                 f"constructor {constructor}: parameter {name!r} has the wrong "
                 f"type ({value!r})")
     bp = fn(ambient, **params)
-    vectors = _coords_list(ambient, bp.matrices)
-    h = Subspace.span(vectors, ambient.dim)
-    if h.dim != len(vectors):
-        raise InvalidSubalgebraError(
-            f"constructor {constructor} produced a dependent spanning set")
-    theta_cols = _theta_cols_from_spec(ambient, bp.theta) if bp.theta else None
-    ideals = None
-    if bp.center or bp.ideal_groups:
-        center = Subspace.span(_coords_list(ambient, bp.center), ambient.dim)
-        groups = tuple(Subspace.span(_coords_list(ambient, g), ambient.dim)
-                       for g in bp.ideal_groups)
-        if center.dim + sum(g.dim for g in groups) == h.dim:
-            ideals = IdealDecomposition(center, groups)
-    return Embedding(ambient, h, constructor=(constructor, params),
-                     theta_cols=theta_cols, ideal_decomposition=ideals)
+    return _embedding(ambient, bp.matrices, bp.theta, (constructor, params))
+
+
+_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _entry(v, what: str):
+    if type(v) is int or isinstance(v, Fraction):
+        return v
+    if isinstance(v, str) and _ENTRY.fullmatch(v):
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            pass
+    raise InvalidSubalgebraError(
+        f"{what}: entries must be integers or 'p/q' strings, got {v!r}")
+
+
+def _matrix(rows, what: str) -> list[list]:
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise InvalidSubalgebraError(f"{what} must be a list of rows")
+    return [[_entry(v, what) for v in row] for row in rows]
 
 
 def _embed_custom(ambient: LieAlgebra, params: dict) -> Embedding:
     mats = params.get("matrices", [])
+    if not isinstance(mats, list):
+        raise InvalidSubalgebraError("custom.matrices must be a list of matrices")
     sparse = []
-    for rows in mats:
-        mat: SparseMatrix = {}
-        for a, row in enumerate(rows):
-            for b, v in enumerate(row):
-                fv = Fraction(v) if not isinstance(v, (int, Fraction)) else v
-                if fv:
-                    mat[(a, b)] = fv
-        sparse.append(mat)
-    vectors = _coords_list(ambient, sparse)
-    h = Subspace.span(vectors, ambient.dim)
-    if h.dim != len(vectors):
-        raise InvalidSubalgebraError("custom matrices are linearly dependent")
-    theta_spec = params.get("involution")
-    theta_cols = None
-    if theta_spec is not None:
-        if isinstance(theta_spec, dict):
-            kind = theta_spec.get("kind")
-            if kind == "neg_transpose":
-                theta_cols = _theta_cols_from_spec(ambient, ("neg_transpose",))
-            elif kind == "swap":
-                theta_cols = _theta_cols_from_spec(ambient, ("swap",))
-            elif kind == "conjugation":
-                s = [[Fraction(x) for x in row] for row in theta_spec["matrix"]]
-                theta_cols = _theta_cols_from_spec(ambient, ("conj_dense", s))
-            else:
-                raise ValueError(f"unknown involution kind {kind!r}")
+    for k, rows in enumerate(mats):
+        dense = _matrix(rows, f"custom.matrices[{k}]")
+        sparse.append({(a, b): v for a, row in enumerate(dense)
+                       for b, v in enumerate(row) if v})
+    spec = params.get("involution")
+    theta = None
+    if spec is not None:
+        kind = spec.get("kind") if isinstance(spec, dict) else None
+        if kind == "neg_transpose":
+            theta = ("neg_transpose", _dense_diag([1] * ambient.matrix_size))
+        elif kind == "swap":
+            theta = ("swap",)
+        elif kind == "conjugation":
+            theta = ("conj", _matrix(spec.get("matrix"), "involution.matrix"))
         else:
-            raise ValueError("involution must be a spec object")
-    return Embedding(ambient, h, constructor=("custom", {}), theta_cols=theta_cols)
+            raise ValueError(f"unknown involution kind {kind!r} (involution must "
+                             "be an object with kind neg_transpose, swap or conjugation)")
+    return _embedding(ambient, sparse, theta, ("custom", {}))
 
 
 def _embed_direct_sum(ambient: LieAlgebra, params: dict) -> Embedding:
@@ -877,31 +671,24 @@ def _embed_direct_sum(ambient: LieAlgebra, params: dict) -> Embedding:
         raise InvalidSubalgebraError("direct_sum needs a list 'parts'")
     consumed = 0
     vectors: list = []
-    centers: list = []
-    groups: list = []
     theta_blocks: list = []
     all_theta = True
-    for part in parts:
-        nf = part["factors"]
+    for i, part in enumerate(parts):
+        nf = part.get("factors") if isinstance(part, dict) else None
+        if type(nf) is not int or nf < 1 or not isinstance(part.get("constructor"), str):
+            raise InvalidSubalgebraError(
+                f"direct_sum parts[{i}] must be an object with a string "
+                "'constructor' and a positive integer 'factors'")
         sub_factors = ambient.factors[consumed:consumed + nf]
         if len(sub_factors) != nf:
             raise InvalidSubalgebraError("direct_sum parts exceed ambient factors")
         sub = build_algebra(sub_factors)
         sub_emb = embed(sub, part["constructor"], part.get("params"))
         b_off = ambient.factor_basis_slices[consumed][0]
-
-        def lift(vec, off=b_off, sub_dim=sub.dim):
-            out = [Fraction(0)] * ambient.dim
-            for j in range(sub_dim):
-                if vec[j]:
-                    out[off + j] = Fraction(vec[j])
-            return out
-
-        vectors.extend(lift(v) for v in sub_emb.h_basis.basis)
-        if sub_emb._ideals is not None:
-            centers.extend(lift(v) for v in sub_emb._ideals.center.basis)
-            for g in sub_emb._ideals.simple_ideals:
-                groups.append([lift(v) for v in g.basis])
+        for v in sub_emb.h_basis.basis:
+            vec = [Fraction(0)] * ambient.dim
+            vec[b_off:b_off + sub.dim] = v
+            vectors.append(vec)
         if sub_emb.theta_cols is None:
             all_theta = False
         else:
@@ -917,18 +704,10 @@ def _embed_direct_sum(ambient: LieAlgebra, params: dict) -> Embedding:
             col = [0] * ambient.dim
             for off, sdim, cols in theta_blocks:
                 if off <= j < off + sdim:
-                    for i, v in enumerate(cols[j - off]):
-                        if v:
-                            col[off + i] = v
+                    col[off:off + sdim] = cols[j - off]
                     break
             else:
                 col[j] = 1
             theta_cols.append(col)
-    ideals = None
-    if centers or groups:
-        center = Subspace.span(centers, ambient.dim)
-        gs = tuple(Subspace.span(g, ambient.dim) for g in groups)
-        if center.dim + sum(g.dim for g in gs) == h.dim:
-            ideals = IdealDecomposition(center, gs)
     return Embedding(ambient, h, constructor=("direct_sum", params),
-                     theta_cols=theta_cols, ideal_decomposition=ideals)
+                     theta_cols=theta_cols)

@@ -115,21 +115,22 @@ class GenericStabilizerReport:
 class Embedding:
     """A bracket-closed subalgebra of a classical ambient algebra.
 
-    Instances are immutable after construction apart from write-once caches,
-    so they are safe to share between threads.
+    The input is h itself (a basis) and, for a symmetric pair, the columns
+    of the involution; everything else, the center / simple-ideal split
+    included, is derived from h on demand.  Instances are immutable after
+    construction apart from write-once caches, so they are safe to share
+    between threads.
     """
 
     def __init__(self, ambient: LieAlgebra, h_basis: Subspace,
                  constructor: Optional[tuple[str, dict]] = None,
-                 theta_cols: Optional[list[ElementVector]] = None,
-                 ideal_decomposition: Optional[IdealDecomposition] = None):
+                 theta_cols: Optional[list[ElementVector]] = None):
         if h_basis.ambient_dim != ambient.dim:
             raise InvalidSubalgebraError("h basis lives in the wrong coordinate space")
         self.ambient = ambient
         self.h_basis = h_basis
         self.constructor = constructor
         self.theta_cols = theta_cols
-        self._ideals = ideal_decomposition
         self._cache: dict = {}
         self._validate_closure()
         if theta_cols is not None:
@@ -215,9 +216,10 @@ class Embedding:
 
     @property
     def ideal_decomposition(self) -> IdealDecomposition:
-        if self._ideals is None:
-            self._ideals = decompose_reductive(self)
-        return self._ideals
+        dec = self._cache.get("ideals")
+        if dec is None:
+            dec = self._cache["ideals"] = decompose_reductive(self)
+        return dec
 
 
 # -- the generic-point engine ----------------------------------------------------

@@ -10,6 +10,8 @@ from aregularity.criteria import DecisionConfig
 from aregularity.catalog import (
     Catalog,
     CatalogChecksumError,
+    CatalogFormatError,
+    _expression,
     default_catalog,
     verify_row,
 )
@@ -68,6 +70,24 @@ class TestDataFidelity:
             Catalog.from_document(doc)
 
 
+class TestExpressions:
+    @pytest.mark.parametrize("expr,value", [
+        (5, 5), ("2*n+1", 7), ("n - m", -1), ("p + 1 < q", False),
+        ("n > 6 or m > 2", True), ("n == 3 and 1 <= m", True),
+    ])
+    def test_grammar(self, expr, value):
+        assert _expression(expr, {"n", "m", "p", "q"})({"n": 3, "m": 4, "p": 3,
+                                                        "q": 4}) == value
+
+    @pytest.mark.parametrize("expr", [
+        "x + 1", "n ** 2", "n / 2", "-n", "1 <= n <= 3", "int(n)", "n.real",
+        "[n]", "True", "'n'", "n +", "(lambda: 1)()", None, 1.5, True, ["n"],
+    ])
+    def test_anything_else_is_a_load_error(self, expr):
+        with pytest.raises(CatalogFormatError):
+            _expression(expr, {"n"})
+
+
 class TestEnumerate:
     def test_t3_line1_max_rank_3(self, cat):
         rows = cat.enumerate("T3_symmetric", 3)
@@ -121,6 +141,25 @@ class TestLookup:
         hit = cat.lookup(e)
         assert hit is not None
         assert hit[0].row_id == "T3_symmetric:1"
+
+    @pytest.mark.parametrize("row,params", [
+        pytest.param(row, params, id=f"{row.row_id}-" + ",".join(
+            f"{k}={v}" for k, v in params.items()), marks=[pytest.mark.xfail(
+                strict=True, reason="the h pattern [gl k, gl k'] of T2_levi:1/2 "
+                "declares two central dimensions; s(gl k + gl k') has one")]
+            if row.row_id in ("T2_levi:1", "T2_levi:2") else [])
+        for table in ("T1_h_ess", "T2_levi", "T3_symmetric", "T4_spherical",
+                      "T5_not_regular")
+        for row, params in default_catalog().enumerate(table, 2)
+        if row.constructor_call(params) and row.ambient_descriptors(params)])
+    def test_custom_reembedding_matches_its_own_row(self, cat, row, params):
+        # h re-entered as explicit matrices keeps only the derived ideal split
+        L = build_algebra(row.ambient_descriptors(params))
+        named = embed(L, *row.constructor_call(params))
+        custom = embed(L, "custom", {
+            "matrices": [L.dense_matrix_of(v) for v in named.h_basis.basis]})
+        assert custom.h_basis == named.h_basis
+        assert cat._row_matches(row, params, custom)
 
     def test_no_match_is_none(self, cat):
         # sl(4) > sp(4) is symmetric but not a table row (h is semisimple,

@@ -1,13 +1,20 @@
 """CLI behaviour: exit codes, JSON schema, determinism, error paths."""
 
 import hashlib
+import inspect
 import json
 from importlib import resources
 
 import pytest
 
-from aregularity import cli
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from aregularity import cli, constructors
+from aregularity.catalog import Catalog, default_catalog
 from aregularity.cli import EXIT_DISAGREE, EXIT_ERROR, EXIT_NO, EXIT_YES, main
+from aregularity.constructors import constructor_names
+from aregularity.subalgebras import Embedding
 
 
 def write_pair(tmp_path, name, doc):
@@ -91,13 +98,14 @@ class TestDecide:
         assert [f["a_regular"] for f in rep["factorization"]["factors"]] == [True, False]
 
 
-def catalog_with_verdict(tmp_path, row_id, verdict):
-    """A copy of the shipped catalog, re-checksummed, with one verdict set."""
+def patched_catalog(tmp_path, row_id, **fields):
+    """A copy of the shipped catalog, re-checksummed, with fields of one row
+    replaced."""
     doc = json.loads(resources.files("aregularity")
                      .joinpath("data/catalog_tables.json").read_text())
     table, line = row_id.split(":")
     [row] = [r for r in doc["rows"] if (r["table"], r["line"]) == (table, line)]
-    row["verdict"] = verdict
+    row.update(fields)
     payload = json.dumps(doc["rows"], sort_keys=True, separators=(",", ":"))
     doc["sha256"] = hashlib.sha256(payload.encode()).hexdigest()
     path = tmp_path / "catalog.json"
@@ -111,7 +119,7 @@ class TestCatalogOption:
             "g": [{"family": "C", "rank": 2}],
             "h": {"constructor": "gl_in_sp", "params": {"n": 2}},
         })
-        cat = catalog_with_verdict(tmp_path, "T3_symmetric:4", False)
+        cat = patched_catalog(tmp_path, "T3_symmetric:4", verdict=False)
         code, rep = run(capsys, ["decide", pair, "--catalog", cat] + FAST)
         assert code == EXIT_DISAGREE
         assert rep["error"] == "route_disagreement"
@@ -125,12 +133,40 @@ class TestCatalogOption:
             "g": [{"family": "A", "rank": 3}],
             "h": {"constructor": "block_sgl", "params": {"p": 2, "q": 2}},
         })
-        cat = catalog_with_verdict(tmp_path, "T2_levi:1", False)
+        cat = patched_catalog(tmp_path, "T2_levi:1", verdict=False)
         code = main(["decide", pair, "--catalog", cat] + FAST)
         out, err = capsys.readouterr()
         assert code == EXIT_ERROR
         assert json.loads(out)["error"] == "AmbiguousMatchError"
         assert "Traceback" not in err
+
+    def test_constraint_code_is_never_run(self, tmp_path, capsys):
+        marker = tmp_path / "marker"
+        payload = ("[c for c in ().__class__.__base__.__subclasses__() "
+                   "if c.__name__ == '_wrap_close'][0].__init__.__globals__"
+                   f"['mkdir']({str(marker)!r}) or k >= 1")
+        cat = patched_catalog(tmp_path, "T2_levi:1", constraints=[payload])
+        code = main(["verify-tables", "--max-rank", "2", "--catalog", cat] + FAST)
+        out, err = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "CatalogFormatError"
+        assert "Traceback" not in err
+        assert not marker.exists()
+
+    def test_decide_looks_the_pair_up_once(self, tmp_path, capsys, monkeypatch):
+        doc = {"g": [{"family": "A", "rank": 3}],
+               "h": {"constructor": "block_sgl", "params": {"p": 2, "q": 2}}}
+        calls = []
+        row_matches = Catalog._row_matches
+        monkeypatch.setattr(Catalog, "_row_matches",
+                            lambda self, *args: calls.append(args[0].row_id)
+                            or row_matches(self, *args))
+        code, rep = run(capsys, ["decide", write_pair(tmp_path, "p.json", doc)] + FAST)
+        assert code == EXIT_YES and rep["catalog_match"]["row"] == "T2_levi:1"
+        in_decide = list(calls)
+        calls.clear()
+        default_catalog().lookup(cli.load_pair(doc))
+        assert in_decide == calls != []
 
 
 SO3 = [[[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
@@ -145,11 +181,23 @@ SO3 = [[[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
     ([2], {"custom": {"matrices": SO3, "involution": {}}}, "involution"),
     ([2, 5], {"constructor": "direct_sum", "params": {}}, "parts"),
     ([3], {"constructor": "block_sgl", "params": {"p": "2", "q": 2}}, "'p'"),
+    (5, {"constructor": "block_sgl", "params": {"p": 1, "q": 1}}, "g must"),
+    ([3], {"constructor": "block_sgl", "params": [2, 2]}, "params"),
+    ([2, 5], {"constructor": "direct_sum", "params": {"parts": [5]}}, "parts[0]"),
+    ([2, 5], {"constructor": "direct_sum", "params": {"parts": [
+        {"constructor": "so_in_sl", "params": {"n": 3}}]}}, "'factors'"),
+    ([2, 5], {"constructor": "direct_sum", "params": {"parts": [
+        {"constructor": "so_in_sl", "params": {"n": 3}, "factors": "1"}]}}, "'factors'"),
+    ([2], {"custom": {"matrices": 7}}, "matrices"),
+    ([1.5], {"constructor": "block_sgl", "params": {"p": 1, "q": 1}}, "g[0].rank"),
 ], ids=["missing-param", "extra-param", "zero-denominator", "involution-no-kind",
-        "direct-sum-no-parts", "string-param"])
+        "direct-sum-no-parts", "string-param", "g-not-a-list", "params-list",
+        "part-not-an-object", "part-without-factors", "string-factors",
+        "matrices-not-a-list", "float-rank"])
 def test_malformed_descriptor_is_a_json_error(tmp_path, capsys, g, h, named):
     pair = write_pair(tmp_path, "p.json", {
-        "g": [{"family": "A", "rank": r} for r in g], "h": h})
+        "g": [{"family": "A", "rank": r} for r in g] if isinstance(g, list) else g,
+        "h": h})
     code = main(["decide", pair] + FAST)
     out, err = capsys.readouterr()
     assert code == EXIT_ERROR
@@ -157,6 +205,71 @@ def test_malformed_descriptor_is_a_json_error(tmp_path, capsys, g, h, named):
     assert rep["error"] != "internal_error"
     assert named in rep["message"]
     assert "Traceback" not in err
+
+
+# generated pair descriptors: mostly well-typed and small (ranks <= 3), with
+# junk (wrong JSON types, unknown names) mixed in at every level
+_SCALARS = st.one_of(st.integers(-2, 6), st.booleans(), st.none(),
+                     st.sampled_from(["A", "C", "1/2", "1/0", "x", "swap"]))
+_JUNK = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4),
+                     max_leaves=12)
+
+
+def _mostly(good, junk=_JUNK):
+    """``good`` five times in six, else ``junk``."""
+    return st.integers(0, 5).flatmap(lambda i: good if i else junk)
+
+
+_ARG = _mostly(st.one_of(st.integers(1, 4),
+                         st.lists(st.integers(0, 3), min_size=1, max_size=3),
+                         st.sampled_from(["A", "B", "C", "D"]), st.booleans()))
+_MATRIX = st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, "1/2"]),
+                            min_size=2, max_size=4), min_size=2, max_size=4)
+_CUSTOM = st.fixed_dictionaries(
+    {"matrices": st.one_of(st.lists(_MATRIX, max_size=3), _JUNK)},
+    optional={"involution": st.one_of(_JUNK, st.fixed_dictionaries(
+        {"kind": st.sampled_from(["neg_transpose", "swap", "conjugation", "x"])},
+        optional={"matrix": st.one_of(_MATRIX, _JUNK)}))})
+
+
+def _params(name, parts):
+    """Params for the constructor ``name``; direct sums nest ``parts``."""
+    if name == "custom":
+        return _CUSTOM
+    if name == "direct_sum":
+        return st.one_of(_JUNK, st.fixed_dictionaries({"parts": st.one_of(
+            _JUNK, st.lists(st.one_of(_SCALARS, parts), max_size=3))}))
+    fn = constructors._REGISTRY.get(name)
+    keys = list(inspect.signature(fn).parameters)[1:] if fn else ["n"]
+    return _mostly(st.one_of(st.fixed_dictionaries({k: _ARG for k in keys}),
+                             st.dictionaries(st.sampled_from(keys + ["x"]), _ARG)))
+
+
+def _h(parts):
+    return st.sampled_from(constructor_names() + ["junk"]).flatmap(
+        lambda name: st.fixed_dictionaries({
+            "constructor": st.just(name), "params": _params(name, parts),
+            "factors": _mostly(st.integers(1, 2), st.integers(-1, 3))}))
+
+
+_PART = st.deferred(lambda: _h(_PART))
+_FACTOR = st.fixed_dictionaries({
+    "family": st.sampled_from(["A", "A", "B", "C", "C", "D", "E", "Q"]),
+    "rank": _mostly(st.integers(1, 3))})
+_DOCS = st.fixed_dictionaries({
+    "g": _mostly(st.lists(_FACTOR, min_size=1, max_size=2)),
+    "h": _mostly(st.one_of(_PART, st.fixed_dictionaries({"custom": _CUSTOM}))),
+})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_DOCS)
+def test_load_pair_fuzz(doc):
+    try:
+        assert isinstance(cli.load_pair(doc), Embedding)
+    except (ValueError, RuntimeError, OSError):
+        pass
 
 
 def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
@@ -255,6 +368,26 @@ class TestStabilizer:
             "h": {"custom": {"matrices": mats,
                              "involution": {"kind": "neg_transpose"}}},
         })
+        code, rep = run(capsys, ["decide", pair] + FAST)
+        assert code == EXIT_YES
+        assert "satake" in rep["routes_agreed"]
+
+    @pytest.mark.parametrize("g,mats,involution", [
+        ([1, 1], [[[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
+                  [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+                  [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]],
+         {"kind": "swap"}),
+        ([2], [[[0, 0, 0], [0, 1, 0], [0, 0, -1]],
+               [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+               [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
+               [[2, 0, 0], [0, -1, 0], [0, 0, -1]]],
+         {"kind": "conjugation", "matrix": [[1, 0, 0], [0, -1, 0], [0, 0, -1]]}),
+    ], ids=["swap", "conjugation"])
+    def test_custom_h_with_other_involution_kinds(self, tmp_path, capsys, g, mats,
+                                                  involution):
+        pair = write_pair(tmp_path, "p.json", {
+            "g": [{"family": "A", "rank": r} for r in g],
+            "h": {"custom": {"matrices": mats, "involution": involution}}})
         code, rep = run(capsys, ["decide", pair] + FAST)
         assert code == EXIT_YES
         assert "satake" in rep["routes_agreed"]
