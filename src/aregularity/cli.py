@@ -12,7 +12,7 @@ Commands (JSON report on stdout, optional human summary on stderr):
     aregularity stabilizer PAIR.json    generic stabilizer report
 
 Exit codes: 0 = a-regular / verified, 3 = not a-regular, 2 = decision
-routes disagreed, 1 = error (bad input, checksum failure, ...).
+routes disagreed, 1 = error (bad arguments or input, checksum failure, ...).
 
 Pair descriptor schema::
 
@@ -48,7 +48,7 @@ from .criteria import (
     Verdict,
     decide,
 )
-from .decomposition import combined_verdict, is_strictly_indecomposable, split_pair
+from .decomposition import combined_verdict, split_pair
 from .lie_core import UnsupportedTypeError, build_algebra
 from .slodowy import principal_sl2, slice_nonempty, slice_regularity_check, slodowy_slice
 from .subalgebras import Embedding, generic_stabilizer, perp
@@ -167,7 +167,7 @@ def cmd_decide(args) -> int:
     fz = split_pair(e)
     per_factor = [decide(f.embedding, cfg.reseeded(i), cat)
                   for i, f in enumerate(fz.factors)]
-    verdict = combined_verdict(fz, per_factor) if len(fz.factors) > 1 else per_factor[0]
+    verdict = combined_verdict(fz, per_factor)
     try:
         hit = cat.lookup(e)
     except AmbiguousMatchError:
@@ -259,7 +259,9 @@ def cmd_decompose(args) -> int:
         "input": doc,
         "n_factors": len(fz.factors),
         "indecomposable": len(fz.factors) == 1,
-        "strictly_indecomposable": is_strictly_indecomposable(e),
+        # if h splits, [h, h] splits the same way
+        "strictly_indecomposable": (len(fz.factors) == 1
+                                    and fz.factors[0].strictly_indecomposable),
         "factors": [{
             "factor_indices": list(f.factor_indices),
             "ambient_factors": [str(d) for d in f.embedding.ambient.factors],
@@ -353,16 +355,30 @@ def cmd_stabilizer(args) -> int:
     return EXIT_YES
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises instead of exiting 2 (a route disagreement); sub-parsers too."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aregularity",
         description="exact a-regularity decisions for reductive pairs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=8)
-        p.add_argument("--coeff-bound", type=int, default=1 << 20,
+        p.add_argument("--trials", type=positive_int, default=8)
+        p.add_argument("--coeff-bound", type=positive_int, default=1 << 20,
                        dest="coeff_bound")
         p.add_argument("--pretty", action="store_true",
                        help="indent JSON and print a summary to stderr")
@@ -375,7 +391,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_decide)
 
     p = sub.add_parser("verify-tables", help="cross-verify the catalog rows")
-    p.add_argument("--max-rank", type=int, default=4, dest="max_rank")
+    p.add_argument("--max-rank", type=positive_int, default=4, dest="max_rank")
     common(p)
     p.set_defaults(fn=cmd_verify_tables)
 
@@ -388,7 +404,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("pair", nargs="?", default=None)
     p.add_argument("--algebra", default=None,
                    help="algebra label like 'A2' or 'A2+C3' instead of a pair")
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=positive_int, default=20)
     common(p)
     p.set_defaults(fn=cmd_slice)
 
@@ -400,16 +416,16 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.fn(args)
     except RouteDisagreementError as exc:
         print(json.dumps({"error": "route_disagreement",
                           "routes": exc.routes}, sort_keys=True))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISAGREE
-    except (AmbiguousMatchError, OSError, ValueError, RuntimeError) as exc:
+    except (AmbiguousMatchError, argparse.ArgumentError, OSError, ValueError,
+            RuntimeError) as exc:
         # ValueError covers DescriptorError, UnsupportedTypeError and JSON
         # decoding errors; RuntimeError covers CatalogChecksumError
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},

@@ -1,10 +1,13 @@
 """Splitting pairs (g, h) into indecomposable factors.
 
-A pair decomposes across a bipartition {A, B} of the simple factors of g
-iff dim(h ∩ g_A) + dim(h ∩ g_B) = dim h; any compatible ideal splitting of
-h is then forced to be h_i = h ∩ g_i.  Bipartitions are tested by brute
-force (at most 2^(m-1) - 1 of them for m <= 8 factors), and the verdict of
-the whole pair is the conjunction of the factor verdicts.
+The ambient coordinates are grouped by simple factor, and h is stored as
+its RREF basis, which is unique; the RREF of a direct sum of subspaces on
+disjoint coordinate sets is the union of their RREFs.  So h splits over a
+partition of the simple factors iff no basis row touches two parts, and
+the finest factorization is given by the connected components of "factors
+touched by one row".  The same pass on [h, h] decides strict
+indecomposability.  The verdict of the whole pair is the conjunction of
+the factor verdicts.
 """
 
 from __future__ import annotations
@@ -24,13 +27,6 @@ from .criteria import (
 )
 
 
-class SizeError(ValueError):
-    """Too many simple factors for exhaustive bipartition testing."""
-
-
-_MAX_FACTORS = 8
-
-
 @dataclass(frozen=True)
 class PairFactor:
     factor_indices: tuple[int, ...]
@@ -44,72 +40,46 @@ class PairFactorization:
     factors: tuple[PairFactor, ...]
 
 
-def _intersection_with_factors(e: Embedding, subset: Sequence[int]) -> Subspace:
-    ranges = e.ambient.factor_basis_slices
-    indices: list[int] = []
-    for fi in subset:
-        b0, b1 = ranges[fi]
-        indices.extend(range(b0, b1))
-    return e.h_basis.restrict_to_coordinates(indices)
-
-
-def _restrict_embedding(e: Embedding, subset: tuple[int, ...],
-                        part: Subspace) -> Embedding:
-    """Re-coordinatize h ∩ g_subset inside the sub-direct-sum ambient."""
-    L = e.ambient
-    sub_ambient = build_algebra([L.factors[i] for i in subset])
+def _columns(L: LieAlgebra, group: Sequence[int]) -> list[int]:
+    """Ambient coordinates of the simple factors in ``group``."""
     ranges = L.factor_basis_slices
-    cols: list[int] = []
-    for fi in subset:
-        b0, b1 = ranges[fi]
-        cols.extend(range(b0, b1))
-    vectors = [[v[j] for j in cols] for v in part.basis]
-    h = Subspace.span(vectors, sub_ambient.dim)
-    return Embedding(sub_ambient, h, constructor=None)
+    return [j for fi in group for j in range(*ranges[fi])]
 
 
-def _bipartitions(m: int):
-    for mask in range(1, 1 << (m - 1)):
-        a = tuple(i for i in range(m) if mask >> i & 1)
-        b = tuple(i for i in range(m) if not mask >> i & 1)
-        yield a, b
+def _factor_groups(L: LieAlgebra, subspace: Subspace) -> list[tuple[int, ...]]:
+    """Finest partition of the simple factors of L over which ``subspace``
+    splits: the connected components of "touched by one basis row"."""
+    ranges = L.factor_basis_slices
+    groups = [{fi} for fi in range(len(ranges))]
+    for row in subspace.basis:
+        touched = {fi for fi, (b0, b1) in enumerate(ranges) if any(row[b0:b1])}
+        merged = set().union(*(g for g in groups if g & touched))
+        groups = [g for g in groups if not g & touched] + [merged]
+    return sorted(tuple(sorted(g)) for g in groups)
 
 
-def _split_indices(e: Embedding, subset: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Recursively split the pair restricted to the given factor subset."""
-    if len(subset) == 1:
-        return [subset]
-    part_h = _intersection_with_factors(e, subset)
-    for a, b in _bipartitions(len(subset)):
-        sa = tuple(subset[i] for i in a)
-        sb = tuple(subset[i] for i in b)
-        da = _intersection_with_factors(e, sa).dim
-        db = _intersection_with_factors(e, sb).dim
-        if da + db == part_h.dim:
-            return _split_indices(e, sa) + _split_indices(e, sb)
-    return [subset]
+def _restrict_embedding(e: Embedding, group: tuple[int, ...]) -> Embedding:
+    """h ∩ g_group inside g_group; rows of h outside the group restrict to 0."""
+    L = e.ambient
+    sub_ambient = build_algebra([L.factors[i] for i in group])
+    cols = _columns(L, group)
+    rows = [[v[j] for j in cols] for v in e.h_basis.basis]
+    return Embedding(sub_ambient, Subspace.span(rows, sub_ambient.dim),
+                     constructor=None)
 
 
 def split_pair(e: Embedding) -> PairFactorization:
-    """Indecomposable factorization of (g, h), certified exhaustively."""
+    """Indecomposable factorization of (g, h), read off the RREF basis of h."""
     L = e.ambient
     if not L.is_semisimple():
         raise ValueError("ambient algebra must be semisimple")
-    m = len(L.factors)
-    if m > _MAX_FACTORS:
-        raise SizeError(f"too many simple factors ({m} > {_MAX_FACTORS})")
-    groups = _split_indices(e, tuple(range(m)))
+    groups = _factor_groups(L, e.h_basis)
     factors = []
-    for subset in sorted(groups):
-        if len(subset) == m:
-            # indecomposable pair: keep the original embedding (and with it
-            # the involution, constructor tag and caches)
-            sub = e
-        else:
-            part = _intersection_with_factors(e, subset)
-            sub = _restrict_embedding(e, subset, part)
+    for group in groups:
+        # one group: keep e itself, with its involution, tag and caches
+        sub = e if len(groups) == 1 else _restrict_embedding(e, group)
         factors.append(PairFactor(
-            factor_indices=subset,
+            factor_indices=group,
             embedding=sub,
             strictly_indecomposable=is_strictly_indecomposable(sub)))
     if (sum(f.embedding.ambient.dim for f in factors) != L.dim
@@ -134,17 +104,12 @@ def derived_subalgebra(e: Embedding) -> Subspace:
 def is_strictly_indecomposable(e: Embedding) -> bool:
     """True iff (g, [h, h]) is indecomposable."""
     L = e.ambient
-    if len(L.factors) == 1:
-        return True
-    derived = derived_subalgebra(e)
-    de = Embedding(L, derived, constructor=None)
-    return len(_split_indices(de, tuple(range(len(L.factors))))) == 1
+    return (len(L.factors) == 1
+            or len(_factor_groups(L, derived_subalgebra(e))) == 1)
 
 
 def is_indecomposable(e: Embedding) -> bool:
-    if len(e.ambient.factors) == 1:
-        return True
-    return len(_split_indices(e, tuple(range(len(e.ambient.factors))))) == 1
+    return len(_factor_groups(e.ambient, e.h_basis)) == 1
 
 
 def combined_verdict(f: PairFactorization,
@@ -157,25 +122,17 @@ def combined_verdict(f: PairFactorization,
     if len(per_factor) != len(f.factors):
         raise ValueError("verdict list does not match factorization length")
     yes = all(v.a_regular for v in per_factor)
-    c = sum(v.invariants.c for v in per_factor)
-    rk = sum(v.invariants.rk for v in per_factor)
-    dim_h_star = sum(v.invariants.dim_h_star for v in per_factor)
-    dim_borel = sum(v.invariants.dim_borel for v in per_factor)
-    inv = VerdictInvariants(c=c, rk=rk, dim_h_star=dim_h_star, dim_borel=dim_borel)
+    inv = VerdictInvariants(**{k: sum(getattr(v.invariants, k) for v in per_factor)
+                               for k in ("c", "rk", "dim_h_star", "dim_borel")})
     routes = tuple(sorted(set.intersection(
         *(set(v.routes_agreed) for v in per_factor)))) if per_factor else ()
     if yes:
-        ranges = f.ambient.factor_basis_slices
         witness = [Fraction(0)] * f.ambient.dim
         for fac, v in zip(f.factors, per_factor):
             cert = v.certificate
             if not isinstance(cert, ExactRegularElement):
                 raise ValueError("YES factor verdict lacks an exact witness")
-            cols: list[int] = []
-            for fi in fac.factor_indices:
-                b0, b1 = ranges[fi]
-                cols.extend(range(b0, b1))
-            for j, x in zip(cols, cert.witness):
+            for j, x in zip(_columns(f.ambient, fac.factor_indices), cert.witness):
                 witness[j] = x
         return Verdict(True, ExactRegularElement(tuple(witness)), routes, inv)
     bound = Fraction(0)

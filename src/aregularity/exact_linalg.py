@@ -241,17 +241,6 @@ class Subspace:
         inter = [r[n:] for r in rows if not any(r[:n])]
         return Subspace.span(inter, n)
 
-    def restrict_to_coordinates(self, indices: Sequence[int]) -> "Subspace":
-        """Vectors of the subspace supported on the given coordinate set."""
-        idx = set(indices)
-        complement = [j for j in range(self.ambient_dim) if j not in idx]
-        if not self.basis:
-            return Subspace.zero(self.ambient_dim)
-        if not complement:
-            return self
-        rows = [[v[j] for j in complement] for v in self.basis]
-        return lift(left_kernel(rows), self.basis, self.ambient_dim)
-
 
 def combine(coeffs: Sequence[Scalar], rows: Sequence[Sequence[Scalar]],
             dim: int) -> list:

@@ -206,6 +206,7 @@ def slice_representative_sl(L: LieAlgebra, x: Sequence) -> Optional[tuple]:
 
 
 def slice_nonempty(e: Embedding, cfg: DecisionConfig = DecisionConfig()) -> bool:
-    """Whether the slice construction over (g, h) yields a non-empty space:
-    equivalent to h-perp containing a regular element."""
+    """Whether the slice construction over (g, h) is non-empty, i.e. h-perp
+    contains a regular element.  This is ``decide_regular_element``'s
+    verdict, not a separate route: it adds no cross-check to ``decide``."""
     return decide_regular_element(e, cfg).a_regular

@@ -236,6 +236,8 @@ def random_combination(rng: random.Random, rows: list[list[int]], bound: int,
                        dim: int) -> list[int]:
     """A nonzero integer combination of ``rows`` with coefficients uniform in
     [-bound, bound]; the zero vector when ``rows`` is empty."""
+    if bound < 1:
+        raise ValueError(f"coefficient bound must be positive, got {bound}")
     if not rows:
         return [0] * dim
     while True:

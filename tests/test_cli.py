@@ -3,7 +3,11 @@
 import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -283,6 +287,59 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch
     assert code == EXIT_ERROR
     assert json.loads(out) == {"error": "internal_error", "message": "KeyError: 'boom'"}
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide"],
+    ["decide", "p.json", "--trials", "abc"],
+    ["frobnicate"],
+    [],
+    ["decide", "p.json", "--no-such-flag"],
+], ids=["missing-pair", "trials-abc", "unknown-command", "no-command",
+        "unknown-flag"])
+def test_argument_error_is_a_json_error(capsys, argv):
+    # argparse's own exit status 2 would read as a route disagreement
+    code, rep = run(capsys, argv)
+    assert code == EXIT_ERROR
+    assert rep["error"] == "ArgumentError" and rep["message"]
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decide", "--help"])
+    assert exc.value.code == 0
+    assert "--coeff-bound" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["decide", "stabilizer"])
+def test_zero_coefficient_bound_is_an_argument_error(tmp_path, command):
+    # in a child process: a bound of 0 used to make the sampler draw forever
+    pair = write_pair(tmp_path, "p.json", {
+        "g": [{"family": "A", "rank": 2}],
+        "h": {"constructor": "so_in_sl", "params": {"n": 3}},
+    })
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "aregularity.cli", command, pair, "--coeff-bound", "0"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_ERROR
+    assert json.loads(proc.stdout)["error"] == "ArgumentError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["slice", "--algebra", "A2", "--samples", "0"],
+    ["slice", "--algebra", "A2", "--samples", "-5"],
+    ["verify-tables", "--max-rank", "0"],
+    ["verify-tables", "--max-rank", "-3"],
+], ids=["samples-0", "samples-negative", "max-rank-0", "max-rank-negative"])
+def test_non_positive_size_is_an_argument_error(capsys, argv):
+    # --samples 0 reported all samples regular after checking none
+    code, rep = run(capsys, argv)
+    assert code == EXIT_ERROR
+    assert rep["error"] == "ArgumentError"
+    assert argv[-2] in rep["message"]
 
 
 class TestVerifyTables:

@@ -117,11 +117,6 @@ class TestSubspace:
         assert coeffs == [2, 5]
         assert u.coefficients_of([0, 0, 1]) is None
 
-    def test_restrict_to_coordinates(self):
-        u = Subspace.span([[1, 0, 1, 0], [0, 1, 0, 0]], 4)
-        r = u.restrict_to_coordinates([0, 1])
-        assert r == Subspace.span([[0, 1, 0, 0]], 4)
-
 
 small_entries = st.integers(min_value=-6, max_value=6)
 

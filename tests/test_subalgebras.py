@@ -234,6 +234,13 @@ class TestGenericStabilizer:
         rep = generic_stabilizer(e, seed=0)
         assert rep.failure_bound < Fraction(1, 2 ** 40)
 
+    @pytest.mark.parametrize("bound", [0, -5])
+    def test_non_positive_coefficient_bound_raises(self, bound):
+        # with a bound of 0 every coefficient is 0 and no nonzero draw exists
+        e = embed(sl(3), "so_in_sl", {"n": 3})
+        with pytest.raises(ValueError, match="coefficient bound"):
+            generic_stabilizer(e, seed=1, trials=4, coeff_bound=bound)
+
     def test_monotone_dimension(self):
         e = embed(sl(5), "block_sgl", {"p": 2, "q": 3})
         rep = generic_stabilizer(e, seed=3, trials=4, coeff_bound=1 << 10)
