@@ -61,6 +61,29 @@ _TABLE_IDS = ("T1_h_ess", "T2_levi", "T3_symmetric", "T4_spherical",
 
 _PARAM_MAX = 40
 
+
+def _patterns(v) -> bool:
+    return isinstance(v, list) and (all(x == ["simple"] for x in v) or all(
+        isinstance(x, list) and len(x) == 2 and type(x[0]) is str
+        and type(x[1]) in (int, str) for x in v))
+
+
+# row field -> (check of its JSON value, the shape named in the error)
+_STRING = (lambda v: type(v) is str, "a string")
+_ROW_SHAPES = {
+    "table": _STRING, "line": _STRING, "display": _STRING, "notes": _STRING,
+    "params": (lambda v: isinstance(v, list) and all(type(x) is str for x in v),
+               "a list of strings"),
+    "g": (_patterns, 'a list of [kind, size], or of ["simple"]'),
+    "h": (_patterns, 'a list of [kind, size], or of ["simple"]'),
+    "constraints": (lambda v: isinstance(v, list), "a list"),
+    "verdict": (lambda v: v is None or type(v) is bool, "true, false or null"),
+    "informational": (lambda v: type(v) is bool, "true or false"),
+    "constructor": (lambda v: v is None or (isinstance(v, list) and len(v) == 2
+                                           and type(v[0]) is str and isinstance(v[1], dict)),
+                    "null or [name, object]"),
+}
+
 _OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
         ast.Lt: operator.lt, ast.LtE: operator.le, ast.Gt: operator.gt,
         ast.GtE: operator.ge, ast.Eq: operator.eq}
@@ -203,6 +226,8 @@ class Catalog:
 
     @classmethod
     def from_document(cls, doc: dict) -> "Catalog":
+        if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
+            raise CatalogFormatError("catalog must be an object with a list 'rows'")
         payload = json.dumps(doc["rows"], sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(payload.encode()).hexdigest()
         if digest != doc.get("sha256"):
@@ -210,7 +235,10 @@ class Catalog:
                 f"catalog checksum mismatch: rows hash to {digest}, "
                 f"file claims {doc.get('sha256')}")
         rows = []
-        for r in doc["rows"]:
+        for i, r in enumerate(doc["rows"]):
+            for key, (ok, shape) in _ROW_SHAPES.items():
+                if not isinstance(r, dict) or key not in r or not ok(r[key]):
+                    raise CatalogFormatError(f"catalog rows[{i}].{key} must be {shape}")
             names = set(r["params"])
 
             def parse(x):
@@ -283,7 +311,7 @@ class Catalog:
             for v in range(1, cap):
                 acc[names[i]] = v
                 yield from rec(i + 1, acc)
-            del acc[names[i]]
+            acc.pop(names[i], None)
 
         yield from rec(0, {})
 

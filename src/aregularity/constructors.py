@@ -1,11 +1,12 @@
 """Named constructors for the subalgebra embeddings of the catalog rows.
 
-Every constructor returns the matrices of h in the ambient matrix space
-and, for symmetric embeddings, the involution whose fixed-point set is h.
-Nothing else is declared: the center / simple-ideal split of h is derived
-from h itself (``Embedding.ideal_decomposition``).  All results are
-validated by ``Embedding`` (bracket closure, involution axioms), so a
-wrong construction fails loudly at build time.
+A named constructor returns either the matrices of h in the ambient matrix
+space or, for a symmetric pair, only the involution theta, whose fixed
+algebra is h (``subalgebras.fixed_algebra``); never both.  ``custom`` input
+always spans h by its own matrices.  Nothing else is declared: the center /
+simple-ideal split of h is derived from h (``Embedding.ideal_decomposition``).
+All results are validated by ``Embedding`` (bracket closure, involution
+axioms, h = Fix theta), so a wrong construction fails loudly at build time.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .exact_linalg import Subspace, left_kernel, rref
+from .exact_linalg import Subspace, rref
 from .lie_core import (
     LieAlgebra,
     SimpleFactorDescriptor,
@@ -24,13 +25,14 @@ from .lie_core import (
     _factor_data,
     build_algebra,
 )
-from .subalgebras import Embedding, InvalidSubalgebraError
+from .subalgebras import Embedding, InvalidSubalgebraError, fixed_algebra
 
 
 @dataclass
 class _Blueprint:
-    """Constructor output before coordinatization: the matrices spanning h
-    and the involution spec, or None when the embedding is not symmetric.
+    """Constructor output before coordinatization: either the matrices
+    spanning h, or the involution spec of a symmetric pair, whose fixed
+    algebra is h.  A named constructor sets exactly one of the two.
 
     Specs: ("swap",) exchanges two equal simple factors; ("conj", S) is
     X -> S X S^-1; ("neg_transpose", S) is X -> -S X^T S^-1."""
@@ -146,40 +148,6 @@ def _so_in_subspace(m: int, W: list[list[Fraction]], k: int,
     return out
 
 
-def _orthogonal_split(m: int, p: int, q: int) -> tuple[list, list]:
-    """J-orthogonal splitting of C^m into subspaces of dimensions p, q."""
-    if p + q != m or p < 1 or q < 1:
-        raise ValueError("invalid so block sizes")
-    n_pairs = m // 2
-    k1, k2 = p // 2, q // 2
-
-    def e(a):
-        vec = [Fraction(0)] * m
-        vec[a] = Fraction(1)
-        return vec
-
-    v1, v2 = [], []
-    for a in range(k1):
-        v1.append(e(a))
-        v1.append(e(m - 1 - a))
-    for a in range(k1, k1 + k2):
-        v2.append(e(a))
-        v2.append(e(m - 1 - a))
-    if p % 2 and q % 2:
-        a0 = n_pairs - 1
-        plus = e(a0)
-        plus[m - 1 - a0] = Fraction(1, 2)
-        minus = e(a0)
-        minus[m - 1 - a0] = Fraction(-1, 2)
-        v1.append(plus)
-        v2.append(minus)
-    elif p % 2:
-        v1.append(e((m - 1) // 2))
-    elif q % 2:
-        v2.append(e((m - 1) // 2))
-    return v1, v2
-
-
 def _inverse(s: list[list], what: str) -> list[list[Fraction]]:
     """Inverse of a square matrix, by row reduction of [s | I]."""
     n = len(s)
@@ -188,48 +156,6 @@ def _inverse(s: list[list], what: str) -> list[list[Fraction]]:
     if piv != list(range(n)):
         raise InvalidSubalgebraError(f"{what} is singular")
     return [row[n:] for row in rr]
-
-
-def _projector(m: int, v1: list, v2: list) -> list[list[Fraction]]:
-    """Projection onto span(v1) along span(v2), as a dense m x m matrix."""
-    cols = v1 + v2
-    binv = _inverse([[cols[j][i] for j in range(m)] for i in range(m)],
-                    "the matrix of splitting vectors")
-    out = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            acc = Fraction(0)
-            for t in range(len(v1)):
-                acc += cols[t][i] * binv[t][j]
-            out[i][j] = acc
-    return out
-
-
-def _block_stabilizer_in_factor(ambient: LieAlgebra, fi: int,
-                                proj: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis (in global coordinates) of {X in factor fi : [X, proj] = 0}."""
-    fd = ambient._factor_data[fi]
-    b0, b1 = ambient.factor_basis_slices[fi]
-    m = fd.descriptor.matrix_size
-    rows = []
-    for mat in fd.basis:
-        comm = {}
-        for (a, b), v in mat.items():
-            for c in range(m):
-                if proj[b][c]:
-                    comm[(a, c)] = comm.get((a, c), 0) + v * proj[b][c]
-                if proj[c][a]:
-                    comm[(c, b)] = comm.get((c, b), 0) - v * proj[c][a]
-        rows.append([comm.get((a, b), 0) for a in range(m) for b in range(m)])
-    lam = left_kernel(rows)
-    out = []
-    for coeffs in lam:
-        vec = [Fraction(0)] * ambient.dim
-        for li, c in enumerate(coeffs):
-            if c:
-                vec[b0 + li] = c
-        out.append(vec)
-    return out
 
 
 # -- individual constructors ----------------------------------------------------
@@ -256,8 +182,10 @@ def _c_levi(ambient: LieAlgebra, blocks: Sequence[int]) -> _Blueprint:
 
 
 def _c_block_sgl(ambient: LieAlgebra, p: int, q: int) -> _Blueprint:
-    return _Blueprint(_c_levi(ambient, [p, q]).matrices,
-                      ("conj", _dense_diag([1] * p + [-1] * q)))
+    _expect_factors(ambient, [("A", p + q - 1)], "block_sgl")
+    if p < 1 or q < 1:
+        raise ValueError("block_sgl blocks must be positive")
+    return _Blueprint(theta=("conj", _dense_diag([1] * p + [-1] * q)))
 
 
 def _c_block_ss(ambient: LieAlgebra, p: int, q: int) -> _Blueprint:
@@ -274,8 +202,7 @@ def _c_block_one(ambient: LieAlgebra, k: int) -> _Blueprint:
 
 def _c_so_in_sl(ambient: LieAlgebra, n: int) -> _Blueprint:
     _expect_factors(ambient, [("A", n - 1)], "so_in_sl")
-    mats = [{(a, b): 1, (b, a): -1} for a in range(n) for b in range(a + 1, n)]
-    return _Blueprint(mats, ("neg_transpose", _dense_diag([1] * n)))
+    return _Blueprint(theta=("neg_transpose", _dense_diag([1] * n)))
 
 
 def _c_sp_in_sl(ambient: LieAlgebra, n: int) -> _Blueprint:
@@ -283,13 +210,12 @@ def _c_sp_in_sl(ambient: LieAlgebra, n: int) -> _Blueprint:
     if len(ambient.factors) != 1 or fam.family != "A" or \
             fam.matrix_size not in (2 * n, 2 * n + 1):
         raise InvalidSubalgebraError("sp_in_sl needs ambient sl(2n) or sl(2n+1)")
-    bp = _Blueprint(list(_factor_data(SimpleFactorDescriptor("C", n)).basis))
     if fam.matrix_size == 2 * n:
         # Omega is the antidiagonal symplectic form of sp(2n): -Omega X^T Omega^-1
         omega = [[(1 if i < n else -1) if i + j == 2 * n - 1 else 0
                   for j in range(2 * n)] for i in range(2 * n)]
-        bp.theta = ("neg_transpose", omega)
-    return bp
+        return _Blueprint(theta=("neg_transpose", omega))
+    return _Blueprint(list(_factor_data(SimpleFactorDescriptor("C", n)).basis))
 
 
 def _c_sp_plus_center(ambient: LieAlgebra, n: int) -> _Blueprint:
@@ -300,14 +226,13 @@ def _c_sp_plus_center(ambient: LieAlgebra, n: int) -> _Blueprint:
 
 
 def _gl_levi(m: int) -> _Blueprint:
-    """gl(n), n = m // 2, acting on the first n coordinates of C^m and dually
-    on the last n (the antidiagonal forms pair them); symmetric for even m."""
+    """gl(n), n = m // 2, on the first n coordinates of C^m and dually on the
+    last n; for even m, the fixed algebra of conjugation by diag(1^n, (-1)^n)."""
     n = m // 2
-    bp = _Blueprint([{(a, b): 1, (m - 1 - b, m - 1 - a): -1}
-                     for a in range(n) for b in range(n)])
     if m % 2 == 0:
-        bp.theta = ("conj", _dense_diag([1] * n + [-1] * n))
-    return bp
+        return _Blueprint(theta=("conj", _dense_diag([1] * n + [-1] * n)))
+    return _Blueprint([{(a, b): 1, (m - 1 - b, m - 1 - a): -1}
+                       for a in range(n) for b in range(n)])
 
 
 def _c_gl_in_sp(ambient: LieAlgebra, n: int) -> _Blueprint:
@@ -329,12 +254,21 @@ def _c_so_block(ambient: LieAlgebra, p: int, q: int) -> _Blueprint:
     if len(ambient.factors) != 1 or fam.family not in ("B", "D") or \
             fam.matrix_size != m:
         raise InvalidSubalgebraError("so_block needs ambient so(p+q)")
-    proj = _projector(m, *_orthogonal_split(m, p, q))
-    h_vecs = _block_stabilizer_in_factor(ambient, 0, proj)
-    if len(h_vecs) != p * (p - 1) // 2 + q * (q - 1) // 2:
-        raise InvalidSubalgebraError("so_block stabilizer has unexpected dimension")
-    reflection = [[2 * proj[i][j] - (i == j) for j in range(m)] for i in range(m)]
-    return _Blueprint([ambient.matrix_of(v) for v in h_vecs], ("conj", reflection))
+    if p < 1 or q < 1:
+        raise ValueError("invalid so block sizes")
+    # so(p) + so(q) is the fixed algebra of conjugation by the reflection R:
+    # +1 on the coordinate pairs (a, m-1-a) with a < k1, -1 on the next k2
+    # pairs, and the sign of the odd part on an odd middle coordinate.  For
+    # p, q both odd, R is +1 on e_a0 + e_(a0+1)/2 and -1 on e_a0 - e_(a0+1)/2.
+    k1, k2 = p // 2, q // 2
+    signs = [1] * k1 + [-1] * k2
+    middle = {(0, 0): [], (1, 0): [1], (0, 1): [-1], (1, 1): [0, 0]}[p % 2, q % 2]
+    reflection = _dense_diag(signs + middle + signs[::-1])
+    if p % 2 and q % 2:
+        a0 = k1 + k2
+        reflection[a0][a0 + 1] = 2
+        reflection[a0 + 1][a0] = Fraction(1, 2)
+    return _Blueprint(theta=("conj", reflection))
 
 
 def _c_so_diag_pair(ambient: LieAlgebra, n: int) -> _Blueprint:
@@ -383,10 +317,9 @@ def _c_sl_gl_pair(ambient: LieAlgebra, n: int) -> _Blueprint:
 
 
 def _c_diagonal(ambient: LieAlgebra, family: str, rank: int) -> _Blueprint:
-    desc = SimpleFactorDescriptor(family, rank)
+    SimpleFactorDescriptor(family, rank)  # rejects an unknown family or rank
     _expect_factors(ambient, [(family, rank)] * 2, "diagonal")
-    return _Blueprint([_merge(mat, _shift(mat, desc.matrix_size))
-                       for mat in _factor_data(desc).basis], ("swap",))
+    return _Blueprint(theta=("swap",))
 
 
 def _c_sp_block(ambient: LieAlgebra, parts: Sequence[int]) -> _Blueprint:
@@ -395,15 +328,12 @@ def _c_sp_block(ambient: LieAlgebra, parts: Sequence[int]) -> _Blueprint:
     _expect_factors(ambient, [("C", n)], "sp_block")
     if any(k < 1 for k in parts):
         raise ValueError("sp_block parts must be positive")
-    bp = _Blueprint()
-    start = 0
-    for k in parts:
-        bp.matrices.extend(_sp_remap(k, range(start, start + k), n, 0))
-        start += k
     if len(parts) == 2:
         signs = [1] * parts[0] + [-1] * (2 * parts[1]) + [1] * parts[0]
-        bp.theta = ("conj", _dense_diag(signs))
-    return bp
+        return _Blueprint(theta=("conj", _dense_diag(signs)))
+    starts = [sum(parts[:i]) for i in range(len(parts))]
+    return _Blueprint([mat for s, k in zip(starts, parts)
+                       for mat in _sp_remap(k, range(s, s + k), n, 0)])
 
 
 def _c_sp_sub_center(ambient: LieAlgebra, n: int) -> _Blueprint:
@@ -569,14 +499,16 @@ def _theta_cols_from_spec(ambient: LieAlgebra, spec: tuple) -> list:
     return cols
 
 
-def _embedding(ambient: LieAlgebra, mats: list[SparseMatrix], theta: Optional[tuple],
-               constructor: tuple[str, dict]) -> Embedding:
-    vectors = []
-    for mat in mats:
-        coords = ambient.coords_of_matrix(mat)
-        if coords is None:
-            raise InvalidSubalgebraError("constructed matrix lies outside the algebra")
-        vectors.append(coords)
+def _embedding(ambient: LieAlgebra, mats: Optional[list[SparseMatrix]],
+               theta: Optional[tuple], constructor: tuple[str, dict]) -> Embedding:
+    """h is spanned by ``mats``, or is Fix(theta) when ``mats`` is None."""
+    if mats is None:
+        theta_cols = _theta_cols_from_spec(ambient, theta)
+        return Embedding(ambient, fixed_algebra(theta_cols), constructor=constructor,
+                         theta_cols=theta_cols)
+    vectors = [ambient.coords_of_matrix(mat) for mat in mats]
+    if any(v is None for v in vectors):
+        raise InvalidSubalgebraError("constructed matrix lies outside the algebra")
     h = Subspace.span(vectors, ambient.dim)
     if h.dim != len(vectors):
         raise InvalidSubalgebraError(
@@ -616,7 +548,8 @@ def embed(ambient: LieAlgebra, constructor: str, params: Optional[dict] = None) 
                 f"constructor {constructor}: parameter {name!r} has the wrong "
                 f"type ({value!r})")
     bp = fn(ambient, **params)
-    return _embedding(ambient, bp.matrices, bp.theta, (constructor, params))
+    return _embedding(ambient, None if bp.theta else bp.matrices, bp.theta,
+                      (constructor, params))
 
 
 _ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")

@@ -49,7 +49,6 @@ from typing import Optional, Sequence
 from .exact_linalg import (
     IntEchelon,
     Subspace,
-    bareiss_echelon,
     clear_denominators,
     combine,
     kernel,
@@ -191,26 +190,13 @@ class Embedding:
             for j, terms in L.bracket_rows[i].items():
                 if j < i:
                     continue
-                lhs: ElementVector = [0] * L.dim
-                for k, c in terms:
-                    col = cols[k]
-                    for t, v in enumerate(col):
-                        if v:
-                            lhs[t] += c * v
+                lhs = combine([c for _, c in terms], [cols[k] for k, _ in terms], L.dim)
                 rhs = L.bracket(cols[i], cols[j])
                 if any(a != b for a, b in zip(lhs, rhs)):
                     raise InvolutionError(
                         f"involution fails the automorphism law on pair ({i}, {j})")
-        # fixed space must be exactly h
-        for v in self.h_basis.basis:
-            img = self.apply_theta(v)
-            if any(a != b for a, b in zip(img, v)):
-                raise InvolutionError("h is not pointwise fixed by the involution")
-        diff = [[cols[j][i] - (1 if i == j else 0) for j in range(L.dim)]
-                for i in range(L.dim)]
-        rank = len(bareiss_echelon([clear_denominators(r) for r in diff])[1])
-        if L.dim - rank != self.dim_h:
-            raise InvolutionError("fixed space of the involution is larger than h")
+        if fixed_algebra(cols) != self.h_basis:
+            raise InvolutionError("h is not the fixed algebra of the involution")
 
     # -- ideal decomposition ---------------------------------------------------
 
@@ -220,6 +206,14 @@ class Embedding:
         if dec is None:
             dec = self._cache["ideals"] = decompose_reductive(self)
         return dec
+
+
+def fixed_algebra(theta_cols: Sequence[Sequence]) -> Subspace:
+    """Fix(theta) of an involution theta: x = (x + theta x)/2 for each fixed
+    x, so it is the span of the columns of 1 + theta."""
+    n = len(theta_cols)
+    return Subspace.span([[c + (i == j) for i, c in enumerate(col)]
+                          for j, col in enumerate(theta_cols)], n)
 
 
 # -- the generic-point engine ----------------------------------------------------

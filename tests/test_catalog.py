@@ -108,6 +108,12 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             cat.enumerate("T3_symmetric", 9)
 
+    @pytest.mark.parametrize("max_rank", [-3, -2, -1, 0])
+    def test_non_positive_max_rank_has_no_rows(self, cat, max_rank):
+        for table in ("T1_h_ess", "T2_levi", "T3_symmetric", "T4_spherical",
+                      "T5_not_regular"):
+            assert cat.enumerate(table, max_rank) == []
+
 
 class TestLookup:
     def test_block_sgl_2_2(self, cat):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aregularity import cli, constructors
+from aregularity import cli, constructors, subalgebras
 from aregularity.catalog import Catalog, default_catalog
 from aregularity.cli import EXIT_DISAGREE, EXIT_ERROR, EXIT_NO, EXIT_YES, main
 from aregularity.constructors import constructor_names
@@ -156,6 +156,43 @@ class TestCatalogOption:
         assert json.loads(out)["error"] == "CatalogFormatError"
         assert "Traceback" not in err
         assert not marker.exists()
+
+    @pytest.mark.parametrize("make,field", [
+        (lambda row: [], None),
+        (lambda row: {"rows": {"0": row}}, None),
+        (lambda row: {"rows": [{}]}, "table"),
+        (lambda row: {"rows": [{k: v for k, v in row.items() if k != "params"}]},
+         "params"),
+        (lambda row: {"rows": [{**row, "g": [["sl"]]}]}, "g"),
+        (lambda row: {"rows": [{**row, "g": [["sl", "2*k"], ["simple"]]}]}, "g"),
+        (lambda row: {"rows": [{**row, "constructor": ["block_sgl"]}]}, "constructor"),
+        (lambda row: {"rows": [{**row, "verdict": "yes"}]}, "verdict"),
+    ], ids=["root-list", "rows-object", "empty-row", "no-params", "g-entry",
+            "g-mixed-simple", "constructor-name-only", "verdict-string"])
+    def test_malformed_catalog_is_a_format_error(self, tmp_path, capsys, make, field):
+        """A catalog built from row T2_levi:1, re-checksummed, with one part
+        of the wrong shape."""
+        [row] = [r for r in json.loads(resources.files("aregularity").joinpath(
+            "data/catalog_tables.json").read_text())["rows"]
+            if (r["table"], r["line"]) == ("T2_levi", "1")]
+        doc = make(row)
+        if isinstance(doc, dict):
+            doc["sha256"] = hashlib.sha256(json.dumps(
+                doc["rows"], sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+        cat = tmp_path / "catalog.json"
+        cat.write_text(json.dumps(doc))
+        pair = write_pair(tmp_path, "p.json", {
+            "g": [{"family": "A", "rank": 3}],
+            "h": {"constructor": "block_sgl", "params": {"p": 2, "q": 2}},
+        })
+        code = main(["decide", pair, "--catalog", str(cat)] + FAST)
+        out, err = capsys.readouterr()
+        assert code == EXIT_ERROR
+        rep = json.loads(out)
+        assert rep["error"] == "CatalogFormatError"
+        if field is not None:
+            assert f"rows[0].{field}" in rep["message"]
+        assert "Traceback" not in err
 
     def test_decide_looks_the_pair_up_once(self, tmp_path, capsys, monkeypatch):
         doc = {"g": [{"family": "A", "rank": 3}],
@@ -428,6 +465,32 @@ class TestStabilizer:
         code, rep = run(capsys, ["decide", pair] + FAST)
         assert code == EXIT_YES
         assert "satake" in rep["routes_agreed"]
+
+    @pytest.mark.parametrize("g,mats,involution,error", [
+        ([("A", 2)], [[[0, 1, 0], [-1, 0, 0], [0, 0, 0]]], {"kind": "neg_transpose"},
+         "InvolutionError"),
+        ([("A", 1)], [[[1, 0], [0, -1]]], {"kind": "neg_transpose"}, "InvolutionError"),
+        ([("A", 1)], [[[1, 0], [0, -1]]],
+         {"kind": "conjugation", "matrix": [[1, 0], [0, 2]]}, "InvolutionError"),
+        ([("A", 1)], [], {"kind": "neg_transpose"}, "InvolutionError"),
+        ([("C", 2)], [[[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]]],
+         {"kind": "conjugation",
+          "matrix": [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+         "InvalidSubalgebraError"),
+    ], ids=["h-smaller-than-fix", "h-not-fixed", "theta-squared-not-one",
+            "empty-h", "theta-leaves-g"])
+    def test_custom_involution_must_fix_exactly_h(self, tmp_path, capsys, g, mats,
+                                                  involution, error):
+        doc = {"g": [{"family": f, "rank": r} for f, r in g],
+               "h": {"custom": {"matrices": mats, "involution": involution}}}
+        # the embedding itself is refused, before any route runs
+        with pytest.raises(getattr(subalgebras, error)):
+            cli.load_pair(doc)
+        code = main(["decide", write_pair(tmp_path, "p.json", doc)] + FAST)
+        out, err = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == error
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("g,mats,involution", [
         ([1, 1], [[[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],

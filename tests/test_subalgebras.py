@@ -7,9 +7,9 @@ import pytest
 
 from aregularity.catalog import default_catalog
 from aregularity.criteria import DecisionConfig, satake_route
-from aregularity.exact_linalg import Subspace, kernel
-from aregularity.lie_core import build_algebra
-from aregularity import subalgebras
+from aregularity.exact_linalg import Subspace, kernel, left_kernel
+from aregularity.lie_core import SimpleFactorDescriptor, _factor_data, build_algebra
+from aregularity import constructors, subalgebras
 from aregularity.subalgebras import (
     BracketClosureError,
     Embedding,
@@ -141,6 +141,12 @@ class TestConstructors:
                 [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
                 [[0, 0, 0], [1, 0, 0], [0, 0, 0]],
             ]})
+
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_block_sgl_rejects_non_positive_blocks(self, p):
+        # with p = 0 the involution would be the identity and h all of sl3
+        with pytest.raises(ValueError, match="must be positive"):
+            embed(sl(p + 3), "block_sgl", {"p": p, "q": 3})
 
     def test_unknown_constructor(self):
         with pytest.raises(ValueError):
@@ -385,3 +391,154 @@ class TestConstructorDecompositions:
             for u in p.basis:
                 for hv in e.h_basis.basis:
                     assert p.contains_vector(L.bracket(list(hv), list(u)))
+
+
+# -- reference builders for the constructors that return only their involution --
+#
+# These are the matrix constructions the symmetric constructors used before h
+# was derived as the fixed algebra of theta, kept as the reference: so_block
+# rebuilt h as the stabilizer of the projector onto the +1 part of a
+# J-orthogonal split of C^m, and its reflection as 2 * projector - 1.
+
+
+def _ref_orthogonal_split(m, p, q):
+    """J-orthogonal splitting of C^m into subspaces of dimensions p, q."""
+    k1, k2 = p // 2, q // 2
+
+    def e(a):
+        vec = [Fraction(0)] * m
+        vec[a] = Fraction(1)
+        return vec
+
+    v1, v2 = [], []
+    for a in range(k1):
+        v1 += [e(a), e(m - 1 - a)]
+    for a in range(k1, k1 + k2):
+        v2 += [e(a), e(m - 1 - a)]
+    if p % 2 and q % 2:
+        a0 = m // 2 - 1
+        plus, minus = e(a0), e(a0)
+        plus[m - 1 - a0] = Fraction(1, 2)
+        minus[m - 1 - a0] = Fraction(-1, 2)
+        v1.append(plus)
+        v2.append(minus)
+    elif p % 2:
+        v1.append(e((m - 1) // 2))
+    elif q % 2:
+        v2.append(e((m - 1) // 2))
+    return v1, v2
+
+
+def _ref_projector(m, v1, v2):
+    """Projection onto span(v1) along span(v2), as a dense m x m matrix."""
+    cols = v1 + v2
+    binv = constructors._inverse([[cols[j][i] for j in range(m)] for i in range(m)],
+                                 "the matrix of splitting vectors")
+    return [[sum(cols[t][i] * binv[t][j] for t in range(len(v1)))
+             for j in range(m)] for i in range(m)]
+
+
+def _ref_block_stabilizer(ambient, proj):
+    """Matrices of {X in so(m) : [X, proj] = 0}."""
+    fd = ambient._factor_data[0]
+    m = fd.descriptor.matrix_size
+    rows = []
+    for mat in fd.basis:
+        comm = {}
+        for (a, b), v in mat.items():
+            for c in range(m):
+                if proj[b][c]:
+                    comm[(a, c)] = comm.get((a, c), 0) + v * proj[b][c]
+                if proj[c][a]:
+                    comm[(c, b)] = comm.get((c, b), 0) - v * proj[c][a]
+        rows.append([comm.get((a, b), 0) for a in range(m) for b in range(m)])
+    return [ambient.matrix_of(lam) for lam in left_kernel(rows)]
+
+
+def _ref_so_block(L, p, q):
+    m = p + q
+    proj = _ref_projector(m, *_ref_orthogonal_split(m, p, q))
+    reflection = [[2 * proj[i][j] - (i == j) for j in range(m)] for i in range(m)]
+    return _ref_block_stabilizer(L, proj), ("conj", reflection)
+
+
+def _ref_gl_levi(m):
+    n = m // 2
+    return ([{(a, b): 1, (m - 1 - b, m - 1 - a): -1}
+             for a in range(n) for b in range(n)],
+            ("conj", constructors._dense_diag([1] * n + [-1] * n)))
+
+
+def _ref_diagonal(family, rank):
+    desc = SimpleFactorDescriptor(family, rank)
+    s = desc.matrix_size
+    return ([{**mat, **{(a + s, b + s): v for (a, b), v in mat.items()}}
+             for mat in _factor_data(desc).basis], ("swap",))
+
+
+def _ref_sp_block(n, k0, k1):
+    signs = [1] * k0 + [-1] * (2 * k1) + [1] * k0
+    return (constructors._sp_remap(k0, range(k0), n, 0)
+            + constructors._sp_remap(k1, range(k0, n), n, 0),
+            ("conj", constructors._dense_diag(signs)))
+
+
+def _ref_sp_in_sl(n):
+    omega = [[(1 if i < n else -1) if i + j == 2 * n - 1 else 0
+              for j in range(2 * n)] for i in range(2 * n)]
+    return (list(_factor_data(SimpleFactorDescriptor("C", n)).basis),
+            ("neg_transpose", omega))
+
+
+def _ref_block_sgl(L, p, q):
+    return (constructors._c_levi(L, [p, q]).matrices,
+            ("conj", constructors._dense_diag([1] * p + [-1] * q)))
+
+
+def _ref_so_in_sl(n):
+    return ([{(a, b): 1, (b, a): -1} for a in range(n) for b in range(a + 1, n)],
+            ("neg_transpose", constructors._dense_diag([1] * n)))
+
+
+def _so_factor(m):
+    return ("B", m // 2) if m % 2 else ("D", m // 2)
+
+
+# (ambient factors, constructor, params, reference (mats, spec) builder)
+_REFERENCE_CASES = (
+    [([_so_factor(p + q)], "so_block", {"p": p, "q": q},
+      lambda L, p=p, q=q: _ref_so_block(L, p, q))
+     for m in (3, 5, 6, 7, 8, 9, 10) for p in range(1, m) for q in [m - p]]
+    + [([("A", p + q - 1)], "block_sgl", {"p": p, "q": q},
+        lambda L, p=p, q=q: _ref_block_sgl(L, p, q))
+       for p, q in [(1, 1), (1, 2), (2, 2), (1, 4), (2, 3), (3, 4), (4, 4)]]
+    + [([("A", n - 1)], "so_in_sl", {"n": n}, lambda L, n=n: _ref_so_in_sl(n))
+       for n in (2, 3, 5, 8)]
+    + [([("A", 2 * n - 1)], "sp_in_sl", {"n": n}, lambda L, n=n: _ref_sp_in_sl(n))
+       for n in (1, 2, 3, 4)]
+    + [([("C", n)], "gl_in_sp", {"n": n}, lambda L, n=n: _ref_gl_levi(2 * n))
+       for n in (1, 2, 3)]
+    + [([_so_factor(m)], "gl_in_so", {"m": m}, lambda L, m=m: _ref_gl_levi(m))
+       for m in (6, 8, 12)]
+    + [([(f, r)] * 2, "diagonal", {"family": f, "rank": r},
+        lambda L, f=f, r=r: _ref_diagonal(f, r))
+       for f, r in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2),
+                    ("C", 3), ("D", 4)]]
+    + [([("C", k0 + k1)], "sp_block", {"parts": [k0, k1]},
+        lambda L, k0=k0, k1=k1: _ref_sp_block(k0 + k1, k0, k1))
+       for k0, k1 in [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]])
+
+
+@pytest.mark.parametrize("factors,name,params,reference", _REFERENCE_CASES,
+                         ids=[f"{c[1]}-{'-'.join(map(str, c[2].values()))}"
+                              for c in _REFERENCE_CASES])
+def test_derived_h_matches_reference_matrices(factors, name, params, reference):
+    """h = Fix(theta) and theta itself agree with the matrix constructions,
+    field for field."""
+    L = build_algebra(factors)
+    e = embed(L, name, params)
+    mats, spec = reference(L)
+    h = Subspace.span([L.coords_of_matrix(mat) for mat in mats], L.dim)
+    assert h.dim == len(mats)
+    assert e.h_basis == h
+    assert e.theta_cols == constructors._theta_cols_from_spec(L, spec)
