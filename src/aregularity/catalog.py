@@ -34,7 +34,12 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .lie_core import SimpleFactorDescriptor, UnsupportedTypeError, build_algebra
+from .lie_core import (
+    SimpleFactorDescriptor,
+    UnsupportedTypeError,
+    build_algebra,
+    classical_factor,
+)
 from .subalgebras import Embedding, embed
 from .criteria import DecisionConfig, Verdict, decide
 
@@ -62,10 +67,16 @@ _TABLE_IDS = ("T1_h_ess", "T2_levi", "T3_symmetric", "T4_spherical",
 _PARAM_MAX = 40
 
 
-def _patterns(v) -> bool:
-    return isinstance(v, list) and (all(x == ["simple"] for x in v) or all(
-        isinstance(x, list) and len(x) == 2 and type(x[0]) is str
-        and type(x[1]) in (int, str) for x in v))
+# the kinds a g entry may name; an h entry may also be gl(n) or a centre C
+_G_KINDS = ("sl", "so", "sp", "e", "f", "g")
+
+
+def _patterns(kinds: tuple):
+    def ok(v) -> bool:
+        return isinstance(v, list) and (all(x == ["simple"] for x in v) or all(
+            isinstance(x, list) and len(x) == 2 and x[0] in kinds
+            and type(x[1]) in (int, str) for x in v))
+    return ok
 
 
 # row field -> (check of its JSON value, the shape named in the error)
@@ -74,8 +85,11 @@ _ROW_SHAPES = {
     "table": _STRING, "line": _STRING, "display": _STRING, "notes": _STRING,
     "params": (lambda v: isinstance(v, list) and all(type(x) is str for x in v),
                "a list of strings"),
-    "g": (_patterns, 'a list of [kind, size], or of ["simple"]'),
-    "h": (_patterns, 'a list of [kind, size], or of ["simple"]'),
+    "g": (_patterns(_G_KINDS),
+          'a list of [kind, size] with kind sl, so, sp, e, f or g, or of ["simple"]'),
+    "h": (_patterns(_G_KINDS + ("gl", "C")),
+          'a list of [kind, size] with kind sl, so, sp, gl, C, e, f or g, '
+          'or of ["simple"] when g is'),
     "constraints": (lambda v: isinstance(v, list), "a list"),
     "verdict": (lambda v: v is None or type(v) is bool, "true, false or null"),
     "informational": (lambda v: type(v) is bool, "true or false"),
@@ -126,34 +140,6 @@ def _closure(node, names: set):
                              f"{getattr(node, 'id', '')}".rstrip())
 
 
-def _pattern_rank(kind: str, size: int) -> Optional[int]:
-    """Lie rank contributed by one ambient pattern entry; None if invalid."""
-    if kind == "sl":
-        return size - 1 if size >= 2 else None
-    if kind == "so":
-        # so(4) is not simple, so(1), so(2) are not ambient factors
-        return size // 2 if size == 3 or size >= 5 else None
-    if kind == "sp":
-        return size // 2 if size >= 2 and size % 2 == 0 else None
-    if kind in ("e", "f", "g"):
-        return size
-    return None
-
-
-def _pattern_descriptor(kind: str, size: int) -> Optional[SimpleFactorDescriptor]:
-    """Constructible descriptor for an ambient pattern entry, or None."""
-    try:
-        if kind == "sl" and size >= 2:
-            return SimpleFactorDescriptor("A", size - 1)
-        if kind == "so" and size >= 3 and size != 4:
-            return SimpleFactorDescriptor("B" if size % 2 else "D", size // 2)
-        if kind == "sp" and size >= 2 and size % 2 == 0:
-            return SimpleFactorDescriptor("C", size // 2)
-    except (ValueError, UnsupportedTypeError):
-        return None
-    return None
-
-
 @dataclass(frozen=True)
 class CatalogRow:
     """One table row.  Sizes, constraints and constructor arguments are
@@ -179,36 +165,18 @@ class CatalogRow:
         return self.g_pattern and self.g_pattern[0][0] == "simple"
 
     def ambient_rank(self, params: dict) -> Optional[int]:
-        if self.is_diagonal_row():
-            fam, rank = params["family"], int(params["rank"])
-            try:
-                SimpleFactorDescriptor(fam, rank)
-            except (ValueError, UnsupportedTypeError):
-                return None
-            return 2 * rank
-        total = 0
-        for kind, size in self.g_pattern:
-            r = _pattern_rank(kind, size(params))
-            if r is None:
-                return None
-            total += r
-        return total
+        descs = self.ambient_descriptors(params)
+        return None if descs is None else sum(d.rank for d in descs)
 
     def ambient_descriptors(self, params: dict) -> Optional[list[SimpleFactorDescriptor]]:
         if self.is_diagonal_row():
-            fam, rank = params["family"], int(params["rank"])
             try:
-                d = SimpleFactorDescriptor(fam, rank)
+                d = SimpleFactorDescriptor(params["family"], int(params["rank"]))
             except (ValueError, UnsupportedTypeError):
                 return None
             return [d, d]
-        out = []
-        for kind, size in self.g_pattern:
-            d = _pattern_descriptor(kind, size(params))
-            if d is None:
-                return None
-            out.append(d)
-        return out
+        out = [classical_factor(kind, size(params)) for kind, size in self.g_pattern]
+        return None if None in out else out
 
     def constructor_call(self, params: dict) -> Optional[tuple[str, dict]]:
         if self.constructor is None:
@@ -239,6 +207,8 @@ class Catalog:
             for key, (ok, shape) in _ROW_SHAPES.items():
                 if not isinstance(r, dict) or key not in r or not ok(r[key]):
                     raise CatalogFormatError(f"catalog rows[{i}].{key} must be {shape}")
+            if r["h"][:1] == [["simple"]] and r["g"][:1] != [["simple"]]:
+                raise CatalogFormatError(f"catalog rows[{i}].h must be {_ROW_SHAPES['h'][1]}")
             names = set(r["params"])
 
             def parse(x):
@@ -287,8 +257,8 @@ class Catalog:
                 lo = 3 if fam == "D" else 1
                 for rank in range(lo, max_rank // 2 + 1):
                     params = {"family": fam, "rank": rank}
-                    if row.ambient_rank(params) is not None and \
-                            (row.ambient_rank(params) or 0) <= max_rank:
+                    r = row.ambient_rank(params)
+                    if r is not None and r <= max_rank:
                         yield params
             return
         names = row.params
@@ -316,7 +286,8 @@ class Catalog:
         yield from rec(0, {})
 
     def enumerate(self, table_id: str, max_rank: int) -> list[tuple[CatalogRow, dict]]:
-        """All parameter instantiations with ambient rank <= max_rank."""
+        """All parameter instantiations with a classical ambient of rank
+        <= max_rank; exceptional rows have no ambient here and never appear."""
         if max_rank > 8:
             raise ValueError("max_rank is capped at 8 for the desk-scale sweep")
         out = []
@@ -375,28 +346,20 @@ class Catalog:
         else:
             for kind, size_fn in row.h_pattern:
                 size = size_fn(params)
+                if kind in ("e", "f", "g"):
+                    return False
                 if kind == "C":
                     want_center += size
-                elif kind == "gl":
-                    if size >= 1:
+                elif kind == "so" and size == 2:
+                    want_center += 1
+                elif kind == "so" and size == 4:
+                    want_simple_dims.extend([3, 3])
+                else:
+                    if kind == "gl" and size >= 1:
                         want_center += 1
-                    if size >= 2:
-                        want_simple_dims.append(size * size - 1)
-                elif kind == "sl":
-                    if size >= 2:
-                        want_simple_dims.append(size * size - 1)
-                elif kind == "so":
-                    if size == 2:
-                        want_center += 1
-                    elif size == 4:
-                        want_simple_dims.extend([3, 3])
-                    elif size >= 3:
-                        want_simple_dims.append(size * (size - 1) // 2)
-                elif kind == "sp":
-                    if size >= 2:
-                        want_simple_dims.append(size * (size + 1) // 2)
-                elif kind in ("e", "f", "g"):
-                    return False
+                    d = classical_factor("sl" if kind == "gl" else kind, size)
+                    if d is not None:
+                        want_simple_dims.append(d.dim)
         if want_center + sum(want_simple_dims) != e.dim_h:
             return False
         # splitting a large subalgebra is expensive; identify only small ones

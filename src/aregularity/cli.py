@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -276,18 +277,18 @@ def cmd_decompose(args) -> int:
 
 
 def _parse_algebra_label(label: str):
-    out = []
-    for part in label.replace("+", " ").split():
-        fam = part[0].upper()
-        out.append((fam, int(part[1:])))
-    return out
+    parts = label.replace("+", " ").split()
+    if not parts or not all(re.fullmatch(r"[A-Za-z][0-9]+", p) for p in parts):
+        raise DescriptorError(f"--algebra {label!r} must be family letters with "
+                              "ranks joined by +, such as A2+C3")
+    return [(p[0].upper(), int(p[1:])) for p in parts]
 
 
 def cmd_slice(args) -> int:
     t0 = time.time()
     cfg = _cfg(args)
     e = None
-    if args.algebra:
+    if args.algebra is not None:
         L = build_algebra(_parse_algebra_label(args.algebra))
         doc = {"algebra": args.algebra}
     else:

@@ -24,6 +24,7 @@ from .lie_core import (
     SparseMatrix,
     _factor_data,
     build_algebra,
+    classical_factor,
 )
 from .subalgebras import Embedding, InvalidSubalgebraError, fixed_algebra
 
@@ -107,16 +108,6 @@ def _sp_remap(k: int, pair_indices: Sequence[int], amb_rank: int,
     return out
 
 
-def _so_standard_basis(k: int) -> list[SparseMatrix]:
-    return _factor_data(_so_descriptor(k)).basis
-
-
-def _so_descriptor(k: int) -> SimpleFactorDescriptor:
-    if k % 2:
-        return SimpleFactorDescriptor("B", k // 2)
-    return SimpleFactorDescriptor("D", k // 2)
-
-
 def _so_in_subspace(m: int, W: list[list[Fraction]], k: int,
                     off: int) -> list[SparseMatrix]:
     """Standard so(k) acting on the span of W inside an so(m) block.
@@ -129,7 +120,7 @@ def _so_in_subspace(m: int, W: list[list[Fraction]], k: int,
             if gram != (1 if u + v == k - 1 else 0):
                 raise InvalidSubalgebraError("subspace Gram matrix is not standard")
     out = []
-    for mat in _so_standard_basis(k):
+    for mat in _factor_data(classical_factor("so", k)).basis:
         amb: SparseMatrix = {}
         for (u, v), val in mat.items():
             # val * w_u otimes J(w_{k-1-v}, .)
@@ -277,8 +268,8 @@ def _c_so_diag_pair(ambient: LieAlgebra, n: int) -> _Blueprint:
         raise InvalidSubalgebraError(
             "so_diag_pair needs n >= 5 (so(3) and so(4) factors are not "
             "valid ambient blocks)")
-    expected = [(_so_descriptor(m1).family, _so_descriptor(m1).rank),
-                (_so_descriptor(n).family, _so_descriptor(n).rank)]
+    so_n = classical_factor("so", n)
+    expected = [(d.family, d.rank) for d in (classical_factor("so", m1), so_n)]
     _expect_factors(ambient, expected, "so_diag_pair")
     # subspace of the first factor carrying a standard so(n) form
     if m1 % 2:
@@ -306,7 +297,7 @@ def _c_so_diag_pair(ambient: LieAlgebra, n: int) -> _Blueprint:
             vec[a] = Fraction(1)
             W.append(vec)
     first = _so_in_subspace(m1, W, n, 0)
-    second = [_shift(mat, m1) for mat in _so_standard_basis(n)]
+    second = [_shift(mat, m1) for mat in _factor_data(so_n).basis]
     return _Blueprint([_merge(a, b) for a, b in zip(first, second)])
 
 

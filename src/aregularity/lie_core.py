@@ -4,17 +4,17 @@ Conventions (all indices 0-based):
 
 * Family A, rank r: sl(r+1), all traceless (r+1) x (r+1) matrices.  The
   fixed maximal torus is the diagonal; torus basis H_i = E_ii - E_{i+1,i+1}.
-* Families B and D: so(m) is defined with respect to the antidiagonal Gram
-  matrix J (J[a][b] = 1 iff a + b = m - 1), i.e. X in so(m) iff
-  X^T J + J X = 0.  With this choice the diagonal matrices in so(m) form
-  the maximal torus.  B requires m = 2r + 1, D requires m = 2r with r >= 3
-  (so(2) and so(4) are not simple).  Writing a' = m - 1 - a for the mirror
-  index, a spanning set is F_ab = E_ab - E_{b'a'}; the basis keeps one
-  representative per mirror orbit, torus part F_aa for a < r.
-* Family C: sp(2r) with respect to the antidiagonal symplectic form
-  Omega[a][b] = sign(a) * [a + b = 2r - 1] with sign +1 for a < r and -1
-  otherwise.  Spanning set G_ab = E_ab - eps_a eps_b E_{b'a'} plus the long
-  root vectors E_{a,a'}; torus part G_aa for a < r, again diagonal.
+* Families B, C and D: so(m) and sp(m) are the X with X^T Omega + Omega X
+  = 0 for the antidiagonal form Omega[a][b] = eps_a * [a + b = m - 1].
+  For so, eps_a = 1; for sp(2r), eps_a = +1 for a < r and -1 otherwise.
+  With this choice the diagonal matrices form the maximal torus.  B
+  requires m = 2r + 1, C m = 2r, and D m = 2r with r >= 3 (so(2) and so(4)
+  are not simple).  Writing (a, b)' = (m - 1 - b, m - 1 - a) for the
+  mirror position, the basis has one E_ab - eps_a eps_b E_(a,b)' per
+  mirror orbit off the antidiagonal, taken at the orbit's smaller
+  position, plus E_ab on the antidiagonal for sp only; torus part at (a, a)
+  for a < r.  ``classical_factor`` maps a (kind, matrix size) pair such as
+  ("so", 7) to its factor.
 
 Basis order per simple factor: torus generators first, then one
 representative per remaining position orbit in lexicographic order.  A
@@ -134,93 +134,57 @@ def _factor_data_a(rank: int) -> _FactorData:
     return _FactorData(SimpleFactorDescriptor("A", rank), basis, cartan, e, f, poslookup)
 
 
-def _factor_data_so(desc: SimpleFactorDescriptor) -> _FactorData:
-    m = desc.matrix_size
-    n = desc.rank
-
-    def mirror(a: int, b: int) -> tuple[int, int]:
-        return (m - 1 - b, m - 1 - a)
-
-    basis: list[SparseMatrix] = []
-    poslookup: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    posidx: dict[tuple[int, int], int] = {}
-
-    def add_f(a: int, b: int) -> int:
-        idx = len(basis)
-        mat: SparseMatrix = {(a, b): 1}
-        ma, mb = mirror(a, b)
-        mat[(ma, mb)] = mat.get((ma, mb), 0) - 1
-        basis.append(mat)
-        for pos, val in mat.items():
-            poslookup.setdefault(pos, []).append((idx, val))
-        posidx[(a, b)] = idx
-        return idx
-
-    cartan = [add_f(a, a) for a in range(n)]
-    for a in range(m):
-        for b in range(m):
-            if a == b or a + b == m - 1:
-                continue
-            if (a, b) <= mirror(a, b):
-                add_f(a, b)
-    e = [posidx[(i, i + 1)] for i in range(n - 1)]
-    f = [posidx[(i + 1, i)] for i in range(n - 1)]
-    if desc.family == "B":
-        e.append(posidx[(n - 1, n)])
-        f.append(posidx[(n, n - 1)])
-    else:
-        e.append(posidx[(n - 2, n)])
-        f.append(posidx[(n, n - 2)])
-    return _FactorData(desc, basis, cartan, e, f, poslookup)
-
-
-def _factor_data_sp(rank: int) -> _FactorData:
-    n = rank
-    m = 2 * n
+def _factor_data_form(desc: SimpleFactorDescriptor) -> _FactorData:
+    """so(m) (B, D) or sp(m) (C), laid out as in the module docstring."""
+    m, n = desc.matrix_size, desc.rank
+    symplectic = desc.family == "C"
 
     def eps(a: int) -> int:
-        return 1 if a < n else -1
-
-    def mirror(a: int, b: int) -> tuple[int, int]:
-        return (m - 1 - b, m - 1 - a)
+        return -1 if symplectic and a >= n else 1
 
     basis: list[SparseMatrix] = []
     poslookup: dict[tuple[int, int], list[tuple[int, int]]] = {}
     posidx: dict[tuple[int, int], int] = {}
 
-    def add_g(a: int, b: int) -> int:
-        idx = len(basis)
-        if b == m - 1 - a:
-            mat: SparseMatrix = {(a, b): 1}
-        else:
-            ma, mb = mirror(a, b)
-            mat = {(a, b): 1, (ma, mb): -eps(a) * eps(b)}
-        basis.append(mat)
+    def add(a: int, b: int) -> None:
+        mat: SparseMatrix = {(a, b): 1}
+        if a + b != m - 1:
+            mat[(m - 1 - b, m - 1 - a)] = -eps(a) * eps(b)
+        posidx[(a, b)] = len(basis)
         for pos, val in mat.items():
-            poslookup.setdefault(pos, []).append((idx, val))
-        posidx[(a, b)] = idx
-        return idx
+            poslookup.setdefault(pos, []).append((len(basis), val))
+        basis.append(mat)
 
-    cartan = [add_g(a, a) for a in range(n)]
+    for a in range(n):
+        add(a, a)
     for a in range(m):
         for b in range(m):
-            if a == b:
-                continue
-            if b == m - 1 - a:
-                add_g(a, b)
-            elif (a, b) < mirror(a, b):
-                add_g(a, b)
-    e = [posidx[(i, i + 1)] for i in range(n - 1)] + [posidx[(n - 1, n)]]
-    f = [posidx[(i + 1, i)] for i in range(n - 1)] + [posidx[(n, n - 1)]]
-    return _FactorData(SimpleFactorDescriptor("C", rank), basis, cartan, e, f, poslookup)
+            if a != b and ((a, b) < (m - 1 - b, m - 1 - a)
+                           or symplectic and a + b == m - 1):
+                add(a, b)
+    last = n - 2 if desc.family == "D" else n - 1
+    e = [posidx[(i, i + 1)] for i in range(n - 1)] + [posidx[(last, n)]]
+    f = [posidx[(i + 1, i)] for i in range(n - 1)] + [posidx[(n, last)]]
+    return _FactorData(desc, basis, list(range(n)), e, f, poslookup)
 
 
 def _factor_data(desc: SimpleFactorDescriptor) -> _FactorData:
     if desc.family == "A":
         return _factor_data_a(desc.rank)
-    if desc.family == "C":
-        return _factor_data_sp(desc.rank)
-    return _factor_data_so(desc)
+    return _factor_data_form(desc)
+
+
+def classical_factor(kind: str, size: int) -> Optional[SimpleFactorDescriptor]:
+    """The simple factor sl(size), so(size) or sp(size); None when that is
+    not a simple algebra (sl1, so1, so2, so4, sp of odd size) or the kind
+    is not sl, so or sp."""
+    if kind == "sl" and size >= 2:
+        return SimpleFactorDescriptor("A", size - 1)
+    if kind == "so" and (size == 3 or size >= 5):
+        return SimpleFactorDescriptor("B" if size % 2 else "D", size // 2)
+    if kind == "sp" and size >= 2 and size % 2 == 0:
+        return SimpleFactorDescriptor("C", size // 2)
+    return None
 
 
 @dataclass

@@ -195,7 +195,11 @@ class Embedding:
                 if any(a != b for a, b in zip(lhs, rhs)):
                     raise InvolutionError(
                         f"involution fails the automorphism law on pair ({i}, {j})")
-        if fixed_algebra(cols) != self.h_basis:
+        # theta^2 = 1 makes dim Fix(theta) = (dim g + tr theta) / 2, so h is
+        # Fix(theta) exactly when theta fixes h and the dimensions agree
+        trace = sum(cols[j][j] for j in range(L.dim))
+        if 2 * self.dim_h != L.dim + trace or any(
+                self.apply_theta(row) != row for row in self.h_int_rows()):
             raise InvolutionError("h is not the fixed algebra of the involution")
 
     # -- ideal decomposition ---------------------------------------------------

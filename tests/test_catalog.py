@@ -1,6 +1,10 @@
 """Catalog data fidelity, lookup, enumeration, and row verification."""
 
+import hashlib
+import importlib.util
 import json
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -201,3 +205,18 @@ class TestVerifyRow:
         row = next(r for r in cat.rows if r.row_id == "T3_symmetric:5")
         res = verify_row(row, {}, CFG)
         assert res.status == "skipped"
+
+
+def test_generator_rows_match_the_shipped_data():
+    """tools/gen_catalog.py and the data file are two copies of the rows.
+    The tool is loaded as a module, so its ``main``, which rewrites the
+    data file, does not run."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "gen_catalog.py"
+    spec = importlib.util.spec_from_file_location("gen_catalog", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    shipped = json.loads(resources.files("aregularity").joinpath(
+        "data/catalog_tables.json").read_text())
+    assert gen.ROWS == shipped["rows"]
+    payload = json.dumps(gen.ROWS, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(payload.encode()).hexdigest() == shipped["sha256"]

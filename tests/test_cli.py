@@ -167,8 +167,12 @@ class TestCatalogOption:
         (lambda row: {"rows": [{**row, "g": [["sl", "2*k"], ["simple"]]}]}, "g"),
         (lambda row: {"rows": [{**row, "constructor": ["block_sgl"]}]}, "constructor"),
         (lambda row: {"rows": [{**row, "verdict": "yes"}]}, "verdict"),
+        (lambda row: {"rows": [{**row, "h": [["simple"]]}]}, "h"),
+        (lambda row: {"rows": [{**row, "g": [["su", "2*k"]]}]}, "g"),
+        (lambda row: {"rows": [{**row, "h": [["u", "k"]]}]}, "h"),
     ], ids=["root-list", "rows-object", "empty-row", "no-params", "g-entry",
-            "g-mixed-simple", "constructor-name-only", "verdict-string"])
+            "g-mixed-simple", "constructor-name-only", "verdict-string",
+            "h-simple-under-kind-g", "g-unknown-kind", "h-unknown-kind"])
     def test_malformed_catalog_is_a_format_error(self, tmp_path, capsys, make, field):
         """A catalog built from row T2_levi:1, re-checksummed, with one part
         of the wrong shape."""
@@ -418,6 +422,18 @@ class TestSlice:
         assert rep["all_samples_regular"] is True
         # principal h of sl(3) is diag(2, 0, -2): torus coordinates (2, 2)
         assert rep["principal_triple"]["h"][:2] == ["2", "2"]
+
+    @pytest.mark.parametrize("label", ["+", " ", "", "A", "Ax", "2A"],
+                             ids=["plus", "blank", "empty", "no-rank",
+                                  "rank-not-digits", "digit-first"])
+    def test_label_naming_no_algebra_is_an_error(self, capsys, label):
+        code = main(["slice", "--algebra", label] + FAST)
+        out, err = capsys.readouterr()
+        assert code == EXIT_ERROR
+        rep = json.loads(out)
+        assert rep["error"] == "DescriptorError"
+        assert "--algebra" in rep["message"] and repr(label) in rep["message"]
+        assert "Traceback" not in err
 
     def test_pair_nonempty(self, tmp_path, capsys):
         pair = write_pair(tmp_path, "p.json", {

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -10,7 +11,10 @@ from aregularity.lie_core import (
     SimpleFactorDescriptor,
     UnsupportedTypeError,
     _check_form_invariance,
+    _factor_data,
+    _FactorData,
     build_algebra,
+    classical_factor,
 )
 
 A1 = ("A", 1)
@@ -239,3 +243,117 @@ def test_form_nondegenerate_per_factor(factors):
         block = [[L.gram_rows[i].get(j, 0) for j in range(b0, b1)]
                  for i in range(b0, b1)]
         assert len(rref(block)[1]) == b1 - b0
+
+
+# -- the so/sp builders before they were merged, kept as the reference -------
+
+def _reference_factor_data_so(desc: SimpleFactorDescriptor) -> _FactorData:
+    m = desc.matrix_size
+    n = desc.rank
+
+    def mirror(a, b):
+        return (m - 1 - b, m - 1 - a)
+
+    basis, poslookup, posidx = [], {}, {}
+
+    def add_f(a, b):
+        idx = len(basis)
+        mat = {(a, b): 1}
+        ma, mb = mirror(a, b)
+        mat[(ma, mb)] = mat.get((ma, mb), 0) - 1
+        basis.append(mat)
+        for pos, val in mat.items():
+            poslookup.setdefault(pos, []).append((idx, val))
+        posidx[(a, b)] = idx
+        return idx
+
+    cartan = [add_f(a, a) for a in range(n)]
+    for a in range(m):
+        for b in range(m):
+            if a == b or a + b == m - 1:
+                continue
+            if (a, b) <= mirror(a, b):
+                add_f(a, b)
+    e = [posidx[(i, i + 1)] for i in range(n - 1)]
+    f = [posidx[(i + 1, i)] for i in range(n - 1)]
+    if desc.family == "B":
+        e.append(posidx[(n - 1, n)])
+        f.append(posidx[(n, n - 1)])
+    else:
+        e.append(posidx[(n - 2, n)])
+        f.append(posidx[(n, n - 2)])
+    return _FactorData(desc, basis, cartan, e, f, poslookup)
+
+
+def _reference_factor_data_sp(rank: int) -> _FactorData:
+    n = rank
+    m = 2 * n
+
+    def eps(a):
+        return 1 if a < n else -1
+
+    def mirror(a, b):
+        return (m - 1 - b, m - 1 - a)
+
+    basis, poslookup, posidx = [], {}, {}
+
+    def add_g(a, b):
+        idx = len(basis)
+        if b == m - 1 - a:
+            mat = {(a, b): 1}
+        else:
+            ma, mb = mirror(a, b)
+            mat = {(a, b): 1, (ma, mb): -eps(a) * eps(b)}
+        basis.append(mat)
+        for pos, val in mat.items():
+            poslookup.setdefault(pos, []).append((idx, val))
+        posidx[(a, b)] = idx
+        return idx
+
+    cartan = [add_g(a, a) for a in range(n)]
+    for a in range(m):
+        for b in range(m):
+            if a == b:
+                continue
+            if b == m - 1 - a:
+                add_g(a, b)
+            elif (a, b) < mirror(a, b):
+                add_g(a, b)
+    e = [posidx[(i, i + 1)] for i in range(n - 1)] + [posidx[(n - 1, n)]]
+    f = [posidx[(i + 1, i)] for i in range(n - 1)] + [posidx[(n, n - 1)]]
+    return _FactorData(SimpleFactorDescriptor("C", rank), basis, cartan, e, f, poslookup)
+
+
+FORM_FACTORS = ([("B", r) for r in range(1, 13)] + [("C", r) for r in range(1, 13)]
+                + [("D", r) for r in range(3, 13)])
+
+
+@pytest.mark.parametrize("family,rank", FORM_FACTORS,
+                         ids=[f"{f}{r}" for f, r in FORM_FACTORS])
+def test_form_builder_matches_the_separate_so_and_sp_builders(family, rank):
+    desc = SimpleFactorDescriptor(family, rank)
+    got = _factor_data(desc)
+    want = (_reference_factor_data_sp(rank) if family == "C"
+            else _reference_factor_data_so(desc))
+    assert got.descriptor == want.descriptor
+    assert [list(m.items()) for m in got.basis] == [list(m.items()) for m in want.basis]
+    assert got.cartan_local == want.cartan_local
+    assert got.simple_e_local == want.simple_e_local
+    assert got.simple_f_local == want.simple_f_local
+    assert list(got.poslookup.items()) == list(want.poslookup.items())
+
+
+ALL_FACTORS = [SimpleFactorDescriptor(f, r) for f in "ABCD"
+               for r in range(3 if f == "D" else 1, 13)]
+
+
+@pytest.mark.parametrize("desc", ALL_FACTORS, ids=str)
+def test_classical_factor_inverts_the_factor_name(desc):
+    kind, size = re.fullmatch(r"([a-z]+)(\d+)", str(desc)).groups()
+    assert classical_factor(kind, int(size)) == desc
+
+
+@pytest.mark.parametrize("kind,size", [
+    ("sl", 1), ("so", 1), ("so", 2), ("so", 4), ("sp", 3), ("e", 6), ("gl", 3)])
+def test_classical_factor_of_a_non_simple_or_unknown_kind_is_none(kind, size):
+    assert classical_factor(kind, size) is None

@@ -45,6 +45,21 @@ class TestConstructors:
         assert sorted(p.dim for p in dec.simple_ideals) == [3, 3]
         assert e.theta_cols is not None
 
+    def test_named_symmetric_embed_spans_fix_theta_once(self, monkeypatch):
+        # embed derives h as Fix(theta); the involution check must not span
+        # it a second time
+        original, calls = subalgebras.fixed_algebra, []
+
+        def counted(cols):
+            calls.append(len(cols))
+            return original(cols)
+
+        monkeypatch.setattr(constructors, "fixed_algebra", counted)
+        monkeypatch.setattr(subalgebras, "fixed_algebra", counted)
+        e = embed(sl(5), "block_sgl", {"p": 2, "q": 3})
+        assert e.dim_h == 12
+        assert calls == [24]
+
     def test_so_in_sl_3(self):
         e = embed(sl(3), "so_in_sl", {"n": 3})
         assert e.dim_h == 3
