@@ -311,8 +311,14 @@ class Catalog:
         key = ("catalog_lookup", self)
         if key in e._cache:
             return e._cache[key]
+        named = e.constructor[0] if e.constructor is not None and \
+            e.constructor[0] != "custom" else None
         matches: list[tuple[CatalogRow, dict]] = []
         for row in self.rows:
+            # a named embedding matches only rows built by its constructor
+            if named is not None and (row.constructor is None
+                                      or row.constructor[0] != named):
+                continue
             for params in self._param_assignments(row, e.ambient.rank):
                 if self._row_matches(row, params, e):
                     matches.append((row, params))
@@ -329,13 +335,10 @@ class Catalog:
         descs = row.ambient_descriptors(params)
         if descs is None or tuple(descs) != tuple(e.ambient.factors):
             return False
-        call = row.constructor_call(params)
         if e.constructor is not None and e.constructor[0] != "custom":
-            if call is None:
-                return False
+            # ``lookup`` passes only rows built by e's constructor
             name, args = e.constructor
-            if call[0] != name:
-                return False
+            call = row.constructor_call(params)
             return _normalize_args(name, args) == _normalize_args(name, call[1])
         # custom embedding: compare ideal-type signatures by dimension
         want_center = 0

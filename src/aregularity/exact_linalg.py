@@ -2,10 +2,14 @@
 
 Vectors are sequences of ``int`` or ``fractions.Fraction`` and matrices are
 plain lists of rows; every operation is exact, there is no floating point
-anywhere.  The elimination core is fraction-free (Bareiss): rows are first
-cleared of denominators and the echelon form is computed over the integers,
-which keeps intermediate coefficient growth polynomial.  Reduced row-echelon
-output over Q is produced from the integer echelon form at the end.
+anywhere.  Elimination is fraction-free (Bareiss 1968): rows are first
+cleared of denominators and every step works on integers, with divisions
+that are exact by the Bareiss determinant identity, which keeps coefficient
+growth polynomial.  ``bareiss_echelon`` clears each pivot column below the
+pivot, which is all a rank needs.  ``rref`` runs the same elimination
+Gauss-Jordan style, clearing above the pivot too; every pivot then ends equal
+to the last one, d, and the reduced row-echelon form over Q is the integer
+matrix divided by d, one division per output entry.
 
 ``Subspace`` keeps its basis in reduced row-echelon form with pivot columns
 in increasing order, so two subspaces are equal iff their stored
@@ -49,13 +53,16 @@ def clear_denominators(row: Sequence[Scalar]) -> list[int]:
     return out
 
 
-def bareiss_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form of an integer matrix.
+def _eliminate(m: list[list[int]], jordan: bool) -> list[int]:
+    """Bareiss elimination of the integer rows ``m`` in place.
 
-    Returns (nonzero echelon rows, pivot column indices).  All divisions are
-    exact by the Bareiss determinant identity.
-    """
-    m = [list(r) for r in rows]
+    Each pivot clears its column in the rows below it, and with ``jordan``
+    in the rows above it as well: row i becomes (piv * row_i - m_ic * row_r)
+    // prev, which is exact because, after each step, every entry is a minor
+    of the input.  Rows below are zero left of the pivot column, so they are
+    updated from that column on; rows above over all columns, which turns
+    their earlier pivots into the new one.  Zero rows are dropped from the
+    end of ``m``.  Returns the pivot columns."""
     nr = len(m)
     nc = len(m[0]) if nr else 0
     pivots: list[int] = []
@@ -64,46 +71,51 @@ def bareiss_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], lis
     for c in range(nc):
         if r == nr:
             break
-        pr = None
-        for i in range(r, nr):
-            if m[i][c]:
-                pr = i
-                break
+        pr = next((i for i in range(r, nr) if m[i][c]), None)
         if pr is None:
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
         piv = m[r][c]
         row_r = m[r]
-        for i in range(r + 1, nr):
+        for i in range(0 if jordan else r + 1, nr):
+            if i == r:
+                continue
+            lo = c if i > r else 0
             row_i = m[i]
             mic = row_i[c]
-            for j in range(c, nc):
-                row_i[j] = (piv * row_i[j] - mic * row_r[j]) // prev
+            row_i[lo:] = [(piv * a - mic * b) // prev
+                          for a, b in zip(row_i[lo:], row_r[lo:])]
         pivots.append(c)
         prev = piv
         r += 1
-    return m[:r], pivots
+    del m[r:]
+    return pivots
+
+
+def bareiss_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form of an integer matrix.
+
+    Returns (nonzero echelon rows, pivot column indices).  The rows must
+    hold ``int`` entries: pass rational rows through ``clear_denominators``
+    first, since the elimination divides with ``//``."""
+    m = [list(r) for r in rows]
+    pivots = _eliminate(m, jordan=False)
+    return m, pivots
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q (unit pivots, zeros above pivots)."""
-    if not rows:
+    """Reduced row echelon form over Q (unit pivots, zeros above pivots).
+
+    Fraction-free Gauss-Jordan elimination of the denominator-cleared rows
+    leaves every pivot equal to the last one, d, so each output entry is
+    one ``Fraction(x, d)``."""
+    m = [clear_denominators(r) for r in rows]
+    pivots = _eliminate(m, jordan=True)
+    if not pivots:
         return [], []
-    int_rows = [clear_denominators(r) for r in rows]
-    ech, pivots = bareiss_echelon(int_rows)
-    out = [[Fraction(x) for x in row] for row in ech]
-    for k in range(len(pivots) - 1, -1, -1):
-        c = pivots[k]
-        piv = out[k][c]
-        if piv != 1:
-            out[k] = [x / piv for x in out[k]]
-        row_k = out[k]
-        for i in range(k):
-            f = out[i][c]
-            if f:
-                out[i] = [a - f * b for a, b in zip(out[i], row_k)]
-    return out, pivots
+    d = m[-1][pivots[-1]]
+    return [[Fraction(x, d) for x in row] for row in m], pivots
 
 
 def kernel(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Fraction]]:

@@ -33,10 +33,10 @@ glued embeddings appearing in the classification tables:
 
 Genericity is randomized with explicit Schwartz-Zippel failure bounds.
 Every sampled stabilizer goes through one engine, ``generic_point``: the
-minimum kernel dimension over the trials, with exact checks (kernels,
-brackets) at the best sample.  Only the claim "this sampled dimension is
-the generic minimum" carries the quantified failure probability reported
-in every GenericStabilizerReport.
+minimum kernel dimension over the trials, read off integer ranks, with the
+exact kernel and checks (brackets) at the best sample only.  Only the claim
+"this sampled dimension is the generic minimum" carries the quantified
+failure probability reported in every GenericStabilizerReport.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ from typing import Optional, Sequence
 from .exact_linalg import (
     IntEchelon,
     Subspace,
+    bareiss_echelon,
     clear_denominators,
     combine,
     kernel,
     left_kernel,
     lift,
-    rref,
     solve_linear,
 )
 from .lie_core import ElementVector, LieAlgebra
@@ -252,15 +252,30 @@ def generic_point(L: LieAlgebra, rows: list[list[int]],
     Draws ``trials`` samples and keeps the first one whose centralizer
     {sum lam_i rows_i : [sum lam_i rows_i, x] = 0} has minimal dimension.
     That dimension can only exceed the generic value, so the minimum is the
-    generic one except with probability ``sz_bound``.  Returns (x, the
-    kernel coefficient vectors over ``rows`` at x, the kernel dimension)."""
-    best: Optional[tuple[list[int], list[list[Fraction]]]] = None
+    generic one except with probability ``sz_bound``.  A trial only ranks its
+    bracket rows [rows_i, x] (integers, by ``bareiss_echelon``): the first
+    trial of maximal rank is the first of minimal centralizer dimension, and
+    the kernel is computed once, at that sample.  Every trial draws its
+    sample, so the random stream advances as if each were ranked.  Returns
+    (x, the kernel coefficient vectors over ``rows`` at x, the kernel
+    dimension)."""
+    best_rank = -1
+    best: Optional[tuple[list[int], list[list[int]]]] = None
     for _ in range(max(1, trials)):
         x = random_combination(rng, sample_rows, bound, L.dim)
-        lam = left_kernel([L.bracket(r, x) for r in rows])
-        if best is None or len(lam) < len(best[1]):
-            best = (x, lam)
-    return best[0], best[1], len(best[1])
+        if best_rank == len(rows):
+            continue  # a zero kernel cannot be beaten
+        brackets = [L.bracket(r, x) for r in rows]
+        rank = len(bareiss_echelon(brackets)[1])
+        if rank > best_rank:
+            best_rank, best = rank, (x, brackets)
+    x, brackets = best
+    lam = left_kernel(brackets)
+    if len(lam) != len(rows) - best_rank:
+        raise RuntimeError(
+            f"kernel dimension {len(lam)} at the best sample disagrees with its "
+            f"rank {best_rank} over {len(rows)} rows; internal error")
+    return x, lam, len(lam)
 
 
 def is_abelian(L: LieAlgebra, rows: Sequence[Sequence]) -> bool:
@@ -324,11 +339,12 @@ def generic_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
                        coeff_bound: int = 1 << 20) -> GenericStabilizerReport:
     """Stabilizer of a generic point of h-perp, with certified failure bound.
 
-    ``generic_point`` takes the minimum stabilizer dimension over the
-    trials; abelianness is checked exactly at the best sample, and a
-    non-abelian stabilizer gets its reductive rank as the generic
-    centralizer dimension of the stabilizer in itself, a second minimum
-    over the trials on the same random stream."""
+    ``generic_point`` ranks each trial's brackets and takes the stabilizer
+    as the kernel at the first trial of maximal rank, computed once.
+    Abelianness is checked exactly at that sample, and a non-abelian
+    stabilizer gets its reductive rank as the generic centralizer dimension
+    of the stabilizer in itself, a second ranked pass over the trials on the
+    same random stream."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     key = ("genstab", seed, trials, coeff_bound)
@@ -498,11 +514,12 @@ def _min_poly(M: list[list[Fraction]], d: int) -> list[Fraction]:
     """Monic minimal polynomial coefficients (low degree first)."""
     power = [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
     vecs = []
+    int_vecs = []
     while True:
         flat = [power[i][j] for i in range(d) for j in range(d)]
         vecs.append(flat)
-        _, piv = rref(vecs)
-        if len(piv) < len(vecs):
+        int_vecs.append(clear_denominators(flat))
+        if len(bareiss_echelon(int_vecs)[1]) < len(vecs):
             # last power is dependent: solve for the combination
             sol = solve_linear([[vecs[k][t] for k in range(len(vecs) - 1)]
                                 for t in range(d * d)], flat)

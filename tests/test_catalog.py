@@ -119,7 +119,37 @@ class TestEnumerate:
             assert cat.enumerate(table, max_rank) == []
 
 
+def reference_lookup(cat, e):
+    """Named lookup by the full walk: every row's parameter space, with the
+    constructor name compared per assignment."""
+    matches = []
+    for row in cat.rows:
+        for params in cat._param_assignments(row, e.ambient.rank):
+            call = row.constructor_call(params)
+            if call is not None and call[0] == e.constructor[0] and \
+                    cat._row_matches(row, params, e):
+                matches.append((row, params))
+                break
+    return next((m for m in matches if m[0].verdict is not None),
+                matches[0] if matches else None)
+
+
 class TestLookup:
+    def test_named_lookup_skips_other_constructors(self, cat):
+        # every constructible instance of the rank-5 sweep
+        seen = 0
+        for table in ("T1_h_ess", "T2_levi", "T3_symmetric", "T4_spherical",
+                      "T5_not_regular"):
+            for row, params in cat.enumerate(table, 5):
+                call = row.constructor_call(params)
+                descs = row.ambient_descriptors(params)
+                if call is None or descs is None:
+                    continue
+                e = embed(build_algebra(descs), *call)
+                assert cat.lookup(e) == reference_lookup(cat, e), (row.row_id, params)
+                seen += 1
+        assert seen == 93
+
     def test_block_sgl_2_2(self, cat):
         e = embed(build_algebra([("A", 3)]), "block_sgl", {"p": 2, "q": 2})
         hit = cat.lookup(e)

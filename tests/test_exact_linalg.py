@@ -3,13 +3,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aregularity.exact_linalg import (
     DimensionError,
     IntEchelon,
     Subspace,
+    bareiss_echelon,
+    clear_denominators,
     kernel,
     left_kernel,
     rref,
@@ -165,3 +167,89 @@ def test_int_echelon_membership():
     ech = IntEchelon([[1, 0, 2], [0, 1, 3]])
     assert ech.contains([2, 5, 19])
     assert not ech.contains([0, 0, 1])
+
+
+# -- the fraction-free Gauss-Jordan rref against Fraction back-substitution ----
+
+def reference_rref(rows):
+    """RREF by the integer echelon form plus a Fraction back-substitution."""
+    if not rows:
+        return [], []
+    ech, pivots = bareiss_echelon([clear_denominators(r) for r in rows])
+    out = [[Fraction(x) for x in row] for row in ech]
+    for k in range(len(pivots) - 1, -1, -1):
+        c = pivots[k]
+        piv = out[k][c]
+        if piv != 1:
+            out[k] = [x / piv for x in out[k]]
+        row_k = out[k]
+        for i in range(k):
+            f = out[i][c]
+            if f:
+                out[i] = [a - f * b for a, b in zip(out[i], row_k)]
+    return out, pivots
+
+
+def reference_kernel(rows, ncols):
+    rr, pivots = reference_rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for i, c in enumerate(pivots):
+                v[c] = -rr[i][f]
+            basis.append(v)
+    return basis
+
+
+def reference_solve(rows, b):
+    ncols = len(rows[0])
+    rr, piv = reference_rref([list(r) + [bi] for r, bi in zip(rows, b)])
+    if ncols in piv:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, c in enumerate(piv):
+        x[c] = rr[i][ncols]
+    return tuple(x)
+
+
+scalars = st.one_of(small_entries,
+                    st.fractions(min_value=-6, max_value=6, max_denominator=5))
+
+
+@st.composite
+def matrices(draw):
+    """1..5 x 1..5 rational matrices: low-rank products or dense draws, with
+    some rows and columns zeroed."""
+    nr, nc = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(nr, nc)))
+        a = draw(st.lists(st.lists(scalars, min_size=k, max_size=k),
+                          min_size=nr, max_size=nr))
+        b = draw(st.lists(st.lists(scalars, min_size=nc, max_size=nc),
+                          min_size=k, max_size=k))
+        m = [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
+              for j in range(nc)] for i in range(nr)]
+    else:
+        m = draw(st.lists(st.lists(scalars, min_size=nc, max_size=nc),
+                          min_size=nr, max_size=nr))
+    zero_rows = draw(st.sets(st.integers(0, nr - 1), max_size=nr))
+    zero_cols = draw(st.sets(st.integers(0, nc - 1), max_size=nc))
+    return [[0 if i in zero_rows or j in zero_cols else x
+             for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.lists(scalars, min_size=5, max_size=5))
+@example([[1, 2, 3, 4]], [5, 0, 0, 0, 0])
+@example([[1], [2], [0], [Fraction(1, 2)]], [1, 2, 0, Fraction(1, 2), 0])
+@example([[0, 0], [0, 0]], [1, 0, 0, 0, 0])
+def test_gauss_jordan_matches_back_substitution(m, rhs):
+    nc = len(m[0])
+    assert rref(m) == reference_rref(m)
+    assert kernel(m, nc) == reference_kernel(m, nc)
+    transposed = [list(col) for col in zip(*m)]
+    assert left_kernel(m) == reference_kernel(transposed, len(m))
+    b = rhs[:len(m)]
+    assert solve_linear(m, b) == reference_solve(m, b)

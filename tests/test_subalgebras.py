@@ -7,7 +7,8 @@ import pytest
 
 from aregularity.catalog import default_catalog
 from aregularity.criteria import DecisionConfig, satake_route
-from aregularity.exact_linalg import Subspace, kernel, left_kernel
+from aregularity.exact_linalg import (
+    Subspace, clear_denominators, kernel, left_kernel, lift)
 from aregularity.lie_core import SimpleFactorDescriptor, _factor_data, build_algebra
 from aregularity import constructors, subalgebras
 from aregularity.subalgebras import (
@@ -17,9 +18,11 @@ from aregularity.subalgebras import (
     cartan_subspace_stabilizer,
     decompose_reductive,
     embed,
+    generic_point,
     generic_stabilizer,
     is_abelian,
     perp,
+    random_combination,
     stabilizer,
 )
 
@@ -274,6 +277,68 @@ class TestGenericStabilizer:
                 for j, v in enumerate(r):
                     x[j] += c * v
             assert stabilizer(e, x).dim >= rep.dim
+
+
+def reference_generic_point(L, rows, sample_rows, rng, trials, bound):
+    """The per-trial kernel loop: a full left kernel at every sample."""
+    best = None
+    for _ in range(max(1, trials)):
+        x = random_combination(rng, sample_rows, bound, L.dim)
+        lam = left_kernel([L.bracket(r, x) for r in rows])
+        if best is None or len(lam) < len(best[1]):
+            best = (x, lam)
+    return best[0], best[1], len(best[1])
+
+
+def int_rows(s):
+    return [clear_denominators(v) for v in s.basis]
+
+
+def constructible_instances(max_rank):
+    cat = default_catalog()
+    for table in ("T1_h_ess", "T2_levi", "T3_symmetric", "T4_spherical",
+                  "T5_not_regular"):
+        for row, params in cat.enumerate(table, max_rank):
+            call = row.constructor_call(params)
+            descs = row.ambient_descriptors(params)
+            if call is not None and descs is not None:
+                yield row, params, embed(build_algebra(descs), *call)
+
+
+class TestGenericPoint:
+    def test_ranked_trials_match_per_trial_kernels(self):
+        # both passes of generic_stabilizer: h on h-perp, then, for a
+        # non-abelian stabilizer, the stabilizer on itself
+        rank_passes = 0
+        for row, params, e in constructible_instances(3):
+            L, h_rows = e.ambient, e.h_int_rows()
+            passes = [(h_rows, int_rows(perp(e)))]
+            new_rng, ref_rng = random.Random(5), random.Random(5)
+            while passes:
+                rows, sample_rows = passes.pop()
+                got = generic_point(L, rows, sample_rows, new_rng, 8, 1 << 20)
+                want = reference_generic_point(L, rows, sample_rows, ref_rng,
+                                               8, 1 << 20)
+                assert got == want, (row.row_id, params)
+                assert new_rng.random() == ref_rng.random(), (row.row_id, params)
+                stab_rows = int_rows(lift(got[1], rows, L.dim))
+                if rows is h_rows and not is_abelian(L, stab_rows):
+                    passes.append((stab_rows, stab_rows))
+                    rank_passes += 1
+        assert rank_passes > 0
+
+    def test_rank_kernel_disagreement_raises(self, monkeypatch):
+        real = subalgebras.bareiss_echelon
+
+        def one_rank_too_many(rows):
+            ech, pivots = real(rows)
+            return ech, pivots + [None]
+
+        monkeypatch.setattr(subalgebras, "bareiss_echelon", one_rank_too_many)
+        e = embed(sl(5), "block_sgl", {"p": 2, "q": 3})
+        with pytest.raises(RuntimeError, match="disagrees with its rank"):
+            generic_point(e.ambient, e.h_int_rows(), int_rows(perp(e)),
+                          random.Random(0), 2, 1 << 10)
 
 
 class TestDecompose:
