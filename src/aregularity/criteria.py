@@ -6,7 +6,11 @@ locus of g.  Three independent routes decide this:
 * regular-element: sample h-perp for an exactly verified regular witness
   (YES is deterministic; NO carries a Schwartz-Zippel failure bound, sound
   because regularity is an open condition on the irreducible linear space
-  h-perp, so it either holds generically or nowhere);
+  h-perp, so it either holds generically or nowhere).  Samples are tested
+  in the defining representation, by the rank of the matrix powers of each
+  simple factor's block; ``decide`` re-verifies a YES witness with the ad
+  rank, a second exact criterion.  The bound keeps degree dim g, which
+  also bounds the power-rank minor (N(N-1)/2 <= dim of the factor);
 * abelian-stabilizer: the generic stabilizer of the h-action on h-perp has
   abelian identity component iff the pair is a-regular;
 * numerical: complexity + rank + dim h = dim of a Borel subalgebra, with
@@ -149,8 +153,10 @@ def find_regular_witness(e: Embedding, cfg: DecisionConfig) -> Optional[list]:
     """An exactly verified regular element of h-perp, or None.
 
     Small-coefficient samples are tried first (regular points are dense, so
-    almost any sample works and small entries keep the exact rank check
-    cheap), then samples at the configured coefficient bound."""
+    almost any sample works, and small entries keep the integer matrix
+    powers short), then samples at the configured coefficient bound.  Each
+    sample is tested exactly in the defining representation
+    (``LieAlgebra.is_regular_in_v``)."""
     L = e.ambient
     rows = _perp_int_rows(e)
     if not rows:
@@ -159,8 +165,7 @@ def find_regular_witness(e: Embedding, cfg: DecisionConfig) -> Optional[list]:
     for bound in [_WITNESS_HUNT_BOUND] * _WITNESS_HUNT_TRIALS + \
                  [cfg.coeff_bound] * cfg.trials:
         x = random_combination(rng, rows, bound, L.dim)
-        regular, _ = L.is_regular(x)
-        if regular:
+        if L.is_regular_in_v(x):
             return x
     return None
 
@@ -244,7 +249,8 @@ def decide(e: Embedding, cfg: DecisionConfig = DecisionConfig(),
     routes = tuple(sorted(booleans))
     if answer:
         cert = results["regular_element"].certificate
-        # re-verify the witness: exact regularity and exact orthogonality
+        # re-verify the witness: exact orthogonality, and exact regularity
+        # by the ad rank, a criterion independent of the hunt's power rank
         if not (isinstance(cert, ExactRegularElement)
                 and e.ambient.is_regular(list(cert.witness))[0]
                 and perp(e).contains_vector(cert.witness)):

@@ -312,12 +312,42 @@ class LieAlgebra:
         return self.center_dim == 0
 
     def is_regular(self, x: Sequence[Scalar]) -> tuple[bool, int]:
-        """(x is regular, dim of its centralizer); requires semisimple."""
+        """(x is regular, dim of its centralizer); requires semisimple.
+
+        The reference criterion, dim z_g(x) = rank g, read off the rank of
+        the dim g x dim g ad matrix.  ``is_regular_in_v`` decides the same
+        question in the defining representation, far more cheaply."""
         if not self.is_semisimple():
             raise ValueError("regularity is defined here for semisimple algebras")
         rank = len(bareiss_echelon(self.ad_rows(clear_denominators(x)))[1])
         cdim = self.dim - rank
         return cdim == self.rank, cdim
+
+    def is_regular_in_v(self, x: Sequence[Scalar]) -> bool:
+        """Whether x is regular, from matrix powers in the defining
+        representation; requires semisimple.
+
+        Each simple factor's N x N block X of x is regular exactly when
+        I, X, ..., X^(k-1) are linearly independent: k = N for sl, sp and
+        so(odd), where regular means cyclic, and k = N - 1 for so(2r), whose
+        regular nilpotent has Jordan type (2r - 1, 1) (Kostant 1963;
+        Collingwood-McGovern 1993).  x is regular when every block is."""
+        if not self.is_semisimple():
+            raise ValueError("regularity is defined here for semisimple algebras")
+        mat = self.matrix_of(clear_denominators(x))
+        for desc, off in zip(self.factors, self.factor_matrix_offsets):
+            n = desc.matrix_size
+            cols = [[mat.get((off + a, off + b), 0) for a in range(n)]
+                    for b in range(n)]
+            power = [[int(a == b) for b in range(n)] for a in range(n)]
+            flats = [[v for row in power for v in row]]
+            for _ in range(n - 2 if desc.family == "D" else n - 1):
+                power = [[sum(p * q for p, q in zip(row, col)) for col in cols]
+                         for row in power]
+                flats.append([v for row in power for v in row])
+            if len(bareiss_echelon(flats)[1]) < len(flats):
+                return False
+        return True
 
     def borel_dim(self) -> int:
         return (self.dim + self.rank) // 2

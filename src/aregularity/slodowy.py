@@ -123,12 +123,15 @@ def slodowy_slice(L: LieAlgebra, t: Sl2Triple) -> SlodowySlice:
 
 def slice_regularity_check(L: LieAlgebra, s: SlodowySlice, samples: int = 20,
                            seed: int = 0) -> bool:
-    """Exactly verify regularity of sampled points of the slice."""
+    """Exactly verify regularity of ``samples`` sampled points of the slice
+    (``LieAlgebra.is_regular_in_v``); ``samples`` must be positive."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
     rows = [clear_denominators(v) for v in s.directions.basis]
     for _ in range(samples):
         step = combine([rng.randint(-9, 9) for _ in rows], rows, L.dim)
-        if not L.is_regular([b + v for b, v in zip(s.base, step)])[0]:
+        if not L.is_regular_in_v([b + v for b, v in zip(s.base, step)]):
             return False
     return True
 
@@ -179,7 +182,7 @@ def slice_representative_sl(L: LieAlgebra, x: Sequence) -> Optional[tuple]:
     weight order, each slice coordinate entering its coefficient linearly."""
     if len(L.factors) != 1 or L.factors[0].family != "A" or L.center_dim:
         raise ValueError("slice representatives are implemented for sl(n) only")
-    if not L.is_regular(list(x))[0]:
+    if not L.is_regular_in_v(x):
         return None
     triple = principal_sl2(L)
     s = slodowy_slice(L, triple)

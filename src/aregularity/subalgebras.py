@@ -33,10 +33,11 @@ glued embeddings appearing in the classification tables:
 
 Genericity is randomized with explicit Schwartz-Zippel failure bounds.
 Every sampled stabilizer goes through one engine, ``generic_point``: the
-minimum kernel dimension over the trials, read off integer ranks, with the
-exact kernel and checks (brackets) at the best sample only.  Only the claim
-"this sampled dimension is the generic minimum" carries the quantified
-failure probability reported in every GenericStabilizerReport.
+minimum kernel dimension over the trials, read off integer ranks on the
+pivot columns of the sampled subspace, with the exact kernel and checks
+(brackets) at the best sample only.  Only the claim "this sampled dimension
+is the generic minimum" carries the quantified failure probability reported
+in every GenericStabilizerReport.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .exact_linalg import (
@@ -247,30 +249,52 @@ def random_combination(rng: random.Random, rows: list[list[int]], bound: int,
 def generic_point(L: LieAlgebra, rows: list[list[int]],
                   sample_rows: list[list[int]], rng: random.Random,
                   trials: int, bound: int) -> tuple[list[int], list[list[Fraction]], int]:
-    """Generic point x of span(sample_rows) for the centralizer in span(rows).
+    """Generic point x of V = span(sample_rows) for the centralizer in
+    span(rows).
+
+    Precondition: V is ad(rows)-stable, so every bracket [rows_i, x] lies in
+    V.  This holds for h acting on h-perp or on the (-1)-eigenspace q, and
+    for a subalgebra acting on itself.  The sample rows are
+    denominator-cleared RREF rows, so a vector of V is fixed by its entries
+    at their pivot columns, and brackets are ranked on those dim V columns
+    rather than on all dim g.
 
     Draws ``trials`` samples and keeps the first one whose centralizer
     {sum lam_i rows_i : [sum lam_i rows_i, x] = 0} has minimal dimension.
     That dimension can only exceed the generic value, so the minimum is the
     generic one except with probability ``sz_bound``.  A trial only ranks its
-    bracket rows [rows_i, x] (integers, by ``bareiss_echelon``): the first
+    restricted bracket rows (integers, by ``bareiss_echelon``): the first
     trial of maximal rank is the first of minimal centralizer dimension, and
-    the kernel is computed once, at that sample.  Every trial draws its
-    sample, so the random stream advances as if each were ranked.  Returns
-    (x, the kernel coefficient vectors over ``rows`` at x, the kernel
-    dimension)."""
+    the kernel is computed once, at that sample.  There the precondition is
+    checked exactly: each full bracket v must equal sum_k (v[p_k] / s_k[p_k])
+    s_k over the sample rows s_k with pivots p_k.  That identity is linear in
+    v, so it makes the restriction injective on the brackets' span, and the
+    kernel of the restricted rows is the kernel of the full ones; a failure
+    raises ``RuntimeError``.  Every trial draws its sample, so the random
+    stream advances as if each were ranked.  Returns (x, the kernel
+    coefficient vectors over ``rows`` at x, the kernel dimension)."""
+    pivots = [next(j for j, a in enumerate(s) if a) for s in sample_rows]
     best_rank = -1
-    best: Optional[tuple[list[int], list[list[int]]]] = None
+    best: Optional[tuple[list[int], list[list[int]], list[list[int]]]] = None
     for _ in range(max(1, trials)):
         x = random_combination(rng, sample_rows, bound, L.dim)
         if best_rank == len(rows):
             continue  # a zero kernel cannot be beaten
         brackets = [L.bracket(r, x) for r in rows]
-        rank = len(bareiss_echelon(brackets)[1])
+        restricted = [[v[p] for p in pivots] for v in brackets]
+        rank = len(bareiss_echelon(restricted)[1])
         if rank > best_rank:
-            best_rank, best = rank, (x, brackets)
-    x, brackets = best
-    lam = left_kernel(brackets)
+            best_rank, best = rank, (x, brackets, restricted)
+    x, brackets, restricted = best
+    scale = lcm(*(s[p] for s, p in zip(sample_rows, pivots)))
+    mults = [scale // s[p] for s, p in zip(sample_rows, pivots)]
+    for v in brackets:
+        if combine([v[p] * m for p, m in zip(pivots, mults)], sample_rows,
+                   L.dim) != [scale * a for a in v]:
+            raise RuntimeError(
+                "a bracket at the best sample leaves span(sample_rows), which "
+                "must be ad(rows)-stable; internal error")
+    lam = left_kernel(restricted)
     if len(lam) != len(rows) - best_rank:
         raise RuntimeError(
             f"kernel dimension {len(lam)} at the best sample disagrees with its "
@@ -339,12 +363,13 @@ def generic_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
                        coeff_bound: int = 1 << 20) -> GenericStabilizerReport:
     """Stabilizer of a generic point of h-perp, with certified failure bound.
 
-    ``generic_point`` ranks each trial's brackets and takes the stabilizer
-    as the kernel at the first trial of maximal rank, computed once.
+    ``generic_point`` ranks each trial's brackets on the pivot columns of
+    h-perp ([h, h-perp] lies in h-perp) and takes the stabilizer as the
+    kernel at the first trial of maximal rank, computed once.
     Abelianness is checked exactly at that sample, and a non-abelian
     stabilizer gets its reductive rank as the generic centralizer dimension
     of the stabilizer in itself, a second ranked pass over the trials on the
-    same random stream."""
+    same random stream, ranked on the stabilizer's own pivot columns."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     key = ("genstab", seed, trials, coeff_bound)
@@ -533,8 +558,6 @@ def _min_poly(M: list[list[Fraction]], d: int) -> list[Fraction]:
 
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     """All rational roots of a polynomial that splits over Q."""
-    from math import lcm
-
     den = 1
     for c in coeffs:
         den = lcm(den, c.denominator)

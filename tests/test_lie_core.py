@@ -3,9 +3,13 @@
 import dataclasses
 import random
 import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aregularity.exact_linalg import bareiss_echelon
 from aregularity.lie_core import (
     LieAlgebra,
     SimpleFactorDescriptor,
@@ -200,6 +204,108 @@ class TestRegularity:
             assert cdim >= L.rank
             found_regular = found_regular or reg
         assert found_regular
+
+
+REGULARITY_ALGEBRAS = ([[(f, r)] for f in "ABC" for r in range(1, 7)]
+                       + [[("D", r)] for r in range(3, 7)]
+                       + [[A1, A1], [A2, C2], [B2, D3]])
+
+
+def strictly_upper_indices(L):
+    return [i for i, mat in enumerate(L.basis) if all(a < b for a, b in mat)]
+
+
+def regular_nilpotent(L, skip=None):
+    """The sum of the simple root vectors, leaving out the one at ``skip``."""
+    x = L.zero_element()
+    for k, i in enumerate(L.simple_e_indices):
+        x[i] = int(k != skip)
+    return x
+
+
+def torus_ramp(L, with_nilpotent=False):
+    """The torus element with coordinates 0, 1, ..., rank - 1, plus the sum of
+    the simple root vectors if ``with_nilpotent``.  In so(2r) the torus part
+    is diag(0, 1, ..., r - 1, -(r - 1), ..., -1, 0): regular, with the
+    eigenvalue 0 twice."""
+    x = regular_nilpotent(L) if with_nilpotent else L.zero_element()
+    for a, i in enumerate(L.cartan_indices):
+        x[i] = a
+    return x
+
+
+@st.composite
+def regularity_cases(draw):
+    factors = draw(st.sampled_from(REGULARITY_ALGEBRAS))
+    L = build_algebra(factors)
+    kind = draw(st.sampled_from(
+        ["dense", "sparse", "upper", "torus_upper", "nilpotent", "torus_ramp"]))
+    if kind == "dense":
+        x = draw(st.lists(st.integers(-3, 3), min_size=L.dim, max_size=L.dim))
+    elif kind == "sparse":
+        x = draw(st.lists(st.sampled_from([0, 0, 0, 0, 0, 1, -1, 2]),
+                          min_size=L.dim, max_size=L.dim))
+    elif kind == "nilpotent":
+        x = regular_nilpotent(L, draw(st.sampled_from(
+            [None] + list(range(len(L.simple_e_indices))))))
+    elif kind == "torus_ramp":
+        x = torus_ramp(L, draw(st.booleans()))
+    else:
+        x = L.zero_element()
+        for i in strictly_upper_indices(L):
+            x[i] = draw(st.integers(-2, 2))
+        if kind == "torus_upper":
+            # repeated and zero torus entries make most of these non-regular
+            for i in L.cartan_indices:
+                x[i] = draw(st.sampled_from([0, 0, 1, 1, -1, 2]))
+    if draw(st.booleans()):
+        x = [Fraction(c, 1 + i % 3) for i, c in enumerate(x)]
+    return L, x
+
+
+class TestRegularityInV:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(regularity_cases())
+    def test_agrees_with_the_ad_rank(self, case):
+        L, x = case
+        assert L.is_regular_in_v(x) == L.is_regular(x)[0]
+
+    @pytest.mark.parametrize("factors", REGULARITY_ALGEBRAS,
+                             ids=lambda fs: "+".join(f"{f}{r}" for f, r in fs))
+    def test_structured_elements_agree(self, factors):
+        L = build_algebra(factors)
+        elements = [regular_nilpotent(L, skip)
+                    for skip in [None] + list(range(len(L.simple_e_indices)))]
+        elements += [torus_ramp(L), torus_ramp(L, with_nilpotent=True)]
+        verdicts = [L.is_regular_in_v(x) for x in elements]
+        assert verdicts == [L.is_regular(x)[0] for x in elements]
+        assert verdicts[0] and not any(verdicts[1:-2])
+
+    @pytest.mark.parametrize("rank", [3, 4, 5, 6])
+    def test_so_even_needs_one_power_less(self, rank):
+        # the regular nilpotent has Jordan type (2r - 1, 1) and the regular
+        # torus ramp the eigenvalue 0 twice: both have a minimal polynomial
+        # of degree 2r - 1, so the cyclic test of A, B and C would call them
+        # non-regular
+        L = build_algebra([("D", rank)])
+        n = L.matrix_size
+        for x in (regular_nilpotent(L), torus_ramp(L)):
+            mat = L.matrix_of(x)
+            X = [[mat.get((a, b), 0) for b in range(n)] for a in range(n)]
+            power = [[int(a == b) for b in range(n)] for a in range(n)]
+            flats = []
+            for _ in range(n):
+                flats.append([v for row in power for v in row])
+                power = [[sum(row[t] * X[t][b] for t in range(n))
+                          for b in range(n)] for row in power]
+            assert len(bareiss_echelon(flats)[1]) == n - 1
+            assert L.is_regular(x)[0]
+            assert L.is_regular_in_v(x)
+
+    def test_requires_semisimple(self):
+        L = build_algebra([A1], center_dim=1)
+        with pytest.raises(ValueError, match="semisimple"):
+            L.is_regular_in_v(unit(L, 1))
 
 
 class TestBorelDim:

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from aregularity.exact_linalg import Subspace
 from aregularity.lie_core import build_algebra
 from aregularity.subalgebras import embed
 from aregularity.criteria import DecisionConfig, decide
 from aregularity.slodowy import (
     Sl2Triple,
+    SlodowySlice,
     _char_poly,
     principal_sl2,
     slice_nonempty,
@@ -73,6 +75,20 @@ def test_slice_points_regular(factors):
     assert slice_regularity_check(L, s, samples=20, seed=3)
     # the base point alone is regular
     assert L.is_regular(list(s.base))[0]
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_slice_regularity_check_needs_a_sample(samples):
+    L = build_algebra([("A", 2)])
+    s = slodowy_slice(L, principal_sl2(L))
+    with pytest.raises(ValueError, match="samples"):
+        slice_regularity_check(L, s, samples=samples)
+
+
+def test_slice_regularity_check_sees_a_non_regular_point():
+    L = build_algebra([("A", 2)])
+    zero = SlodowySlice(base=(0,) * L.dim, directions=Subspace.zero(L.dim))
+    assert not slice_regularity_check(L, zero, samples=1)
 
 
 class TestCharPoly:

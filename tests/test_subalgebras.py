@@ -340,6 +340,16 @@ class TestGenericPoint:
             generic_point(e.ambient, e.h_int_rows(), int_rows(perp(e)),
                           random.Random(0), 2, 1 << 10)
 
+    @pytest.mark.parametrize("root", [(0, 1), (2, 0)])
+    def test_unstable_sample_span_raises(self, root):
+        # one root vector of sl(3) is not stable under all of sl(3): ranked
+        # on its single pivot column, every trial would report rank 1
+        L = sl(3)
+        unit_rows = [[int(i == j) for j in range(L.dim)] for i in range(L.dim)]
+        e_root = L.coords_of_matrix({root: 1})
+        with pytest.raises(RuntimeError, match="ad\\(rows\\)-stable"):
+            generic_point(L, unit_rows, [e_root], random.Random(0), 4, 1 << 10)
+
 
 class TestDecompose:
     def test_gl2_style(self):
