@@ -12,7 +12,10 @@ locus of g.  Three independent routes decide this:
   rank, a second exact criterion.  The bound keeps degree dim g, which
   also bounds the power-rank minor (N(N-1)/2 <= dim of the factor);
 * abelian-stabilizer: the generic stabilizer of the h-action on h-perp has
-  abelian identity component iff the pair is a-regular;
+  abelian identity component iff the pair is a-regular.  Its sampled
+  trials are ranked modulo a random 61-bit prime, and its report's failure
+  bound adds each such pass's chance of a prime dividing the rank minor to
+  the Schwartz-Zippel terms (the satake route's report likewise);
 * numerical: complexity + rank + dim h = dim of a Borel subalgebra, with
   complexity and rank obtained from the stabilizer dimension counts
   (2c + rk = dim g - 2 dim h + dim h_*, rk = rank g - rank h_*).
@@ -25,7 +28,10 @@ painted node on the associated involution diagram).
 ``decide`` runs every applicable route and, when given a catalog, the
 table lookup; any disagreement raises instead of being resolved silently,
 since the routes are provably equivalent and a split certifies an
-implementation, sampling or table bug.
+implementation, sampling or table bug.  A NO therefore needs every route
+to agree, and the NO certificate carries the regular-element route's
+Schwartz-Zippel bound alone: that route by itself bounds the chance of a
+false NO.
 """
 
 from __future__ import annotations
@@ -210,14 +216,14 @@ def satake_route(e: Embedding, cfg: DecisionConfig = DecisionConfig()) -> Verdic
     reductive rank is exact, rank g - dim c (Kostant-Rallis: z_g(c) =
     z_h(c) + c is a Levi subalgebra with c central)."""
     L = e.ambient
-    c, zc = cartan_subspace_stabilizer(e, seed=cfg.seed + 17, trials=cfg.trials,
-                                       coeff_bound=cfg.coeff_bound)
+    c, zc, modular = cartan_subspace_stabilizer(
+        e, seed=cfg.seed + 17, trials=cfg.trials, coeff_bound=cfg.coeff_bound)
     abelian = is_abelian(L, [clear_denominators(v) for v in zc.basis])
     rep = GenericStabilizerReport(
         stab_basis=zc, dim=zc.dim, is_abelian=abelian,
         reductive_rank=L.rank - c.dim, trials=cfg.trials,
         coefficient_bound=cfg.coeff_bound,
-        failure_bound=2 * sz_bound(L.dim, cfg.coeff_bound, cfg.trials))
+        failure_bound=2 * sz_bound(L.dim, cfg.coeff_bound, cfg.trials) + modular)
     inv = _invariants(e, cfg)
     return Verdict(abelian, AbelianStabilizer(rep), ("satake",), inv)
 

@@ -9,7 +9,10 @@ growth polynomial.  ``bareiss_echelon`` clears each pivot column below the
 pivot, which is all a rank needs.  ``rref`` runs the same elimination
 Gauss-Jordan style, clearing above the pivot too; every pivot then ends equal
 to the last one, d, and the reduced row-echelon form over Q is the integer
-matrix divided by d, one division per output entry.
+matrix divided by d, one division per output entry.  ``rank_mod_p`` ranks
+over GF(p) instead, for callers that account for the chance that p divides
+the minor carrying the rank (``hadamard_bits`` bounds its size and
+``is_prime`` certifies p).
 
 ``Subspace`` keeps its basis in reduced row-echelon form with pivot columns
 in increasing order, so two subspaces are equal iff their stored
@@ -102,6 +105,80 @@ def bareiss_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], lis
     m = [list(r) for r in rows]
     pivots = _eliminate(m, jordan=False)
     return m, pivots
+
+
+def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over GF(p) of an integer matrix, p prime.
+
+    It never exceeds the rank over Q, and equals it unless p divides every
+    maximal nonzero minor (``hadamard_bits`` bounds their size).  Entries
+    are reduced mod p once; each pivot piv then clears its column below it
+    as row_i <- (piv * row_i - m_ic * row_r) mod p.  piv is a unit mod p, so
+    this keeps the rank and needs no inverse (on small matrices a modular
+    inverse costs more than the whole row update)."""
+    m = [[a % p for a in row] for row in rows]
+    nr = len(m)
+    ncols = len(m[0]) if nr else 0
+    r = 0
+    for c in range(ncols):
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        row_r = m[r][c:]
+        piv = row_r[0]
+        for i in range(r + 1, nr):
+            f = m[i][c]
+            if f:
+                m[i][c:] = [(piv * a - f * b) % p for a, b in zip(m[i][c:], row_r)]
+        r += 1
+    return r
+
+
+def hadamard_bits(rows: Sequence[Sequence[int]]) -> int:
+    """An integer B with |D| <= 2^B for every minor D of an integer matrix.
+
+    B = ceil(sum_i bitlen(|row_i|^2) / 2) over the nonzero rows is at least
+    sum_i log2 |row_i|, which bounds every minor by Hadamard's inequality
+    (a nonzero integer row has norm >= 1, so rows outside the minor only
+    raise the bound)."""
+    total = sum(sum(a * a for a in row).bit_length() for row in rows)
+    return (total + 1) // 2
+
+
+# Miller-Rabin with the first twelve primes as bases is deterministic below
+# this bound (Sorenson and Webster 2015, psi_12).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test for 0 <= n < 3.18 * 10^23 (strong
+    probable-prime tests to the bases 2, 3, ..., 37); raises ``ValueError``
+    above that range, where the bases are no longer proven sufficient."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin range")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -226,16 +303,6 @@ class Subspace:
         if any(w):
             return None
         return coeffs
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionError("ambient dimension mismatch")
-        return all(self.contains_vector(v) for v in other.basis)
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionError("ambient dimension mismatch")
-        return Subspace.span(list(self.basis) + list(other.basis), self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: echelonize [[U U],[V 0]]; zero-left rows carry U∩V."""

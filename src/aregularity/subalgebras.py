@@ -32,12 +32,18 @@ glued embeddings appearing in the classification tables:
     custom(matrices)       explicit basis matrices
 
 Genericity is randomized with explicit Schwartz-Zippel failure bounds.
-Every sampled stabilizer goes through one engine, ``generic_point``: the
-minimum kernel dimension over the trials, read off integer ranks on the
-pivot columns of the sampled subspace, with the exact kernel and checks
-(brackets) at the best sample only.  Only the claim "this sampled dimension
-is the generic minimum" carries the quantified failure probability reported
-in every GenericStabilizerReport.
+Every sampled stabilizer goes through one trial loop, ``rank_trials``: the
+minimum kernel dimension over the trials, read off ranks modulo a prime p on
+the pivot columns of the sampled subspace, with the exact checks (brackets)
+and, where the kernel itself is used, the exact kernel at the best sample
+only.  p is drawn uniformly from the primes in [2^60, 2^61)
+(``trial_prime``), once per stabilizer call and from a stream of its own,
+so samples, bases and witnesses do not depend on it.  A rank mod p is never
+above the rank over Q, and falls below it only when p divides the minor
+that carries it; each pass ranked mod p adds that chance
+(``modular_term``) to the failure bound.  Only the claim "this sampled
+dimension is the generic minimum" carries the quantified failure
+probability reported in every GenericStabilizerReport.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Optional, Sequence
 
@@ -54,9 +61,12 @@ from .exact_linalg import (
     bareiss_echelon,
     clear_denominators,
     combine,
+    hadamard_bits,
+    is_prime,
     kernel,
     left_kernel,
     lift,
+    rank_mod_p,
     solve_linear,
 )
 from .lie_core import ElementVector, LieAlgebra
@@ -94,15 +104,19 @@ class GenericStabilizerReport:
     """Sampled generic stabilizer of the h-action on the orthogonal
     complement of h.
 
-    One sampling rule (``generic_point``): the dimension is the minimum
+    One sampling rule (``rank_trials``): the dimension is the minimum
     over ``trials`` samples, and the basis and abelianness are exact at the
     best sample.  A non-abelian stabilizer's reductive rank follows the
     same rule inside the stabilizer; the Satake route instead reports the
     exact rank z_h(c) = rank g - dim c (``cartan_subspace_stabilizer``).
 
-    ``failure_bound`` = 2 * ``sz_bound`` bounds the probability that the
-    dimension or the rank exceeds the generic value (per-trial failure is
-    at most dim(g) / (2 * coefficient_bound + 1))."""
+    ``failure_bound`` bounds the probability that the dimension or the
+    rank exceeds the generic value.  It is 2 * ``sz_bound`` (per-trial
+    failure is at most dim(g) / (2 * coefficient_bound + 1)) plus, for each
+    pass whose trials were ranked modulo the prime p, that pass's
+    ``modular_term``: ceil(bits / 60) / 2^54, with bits the largest log2
+    Hadamard bound of its trial matrices.  The satake route's report counts
+    its one Cartan-subspace pass the same way."""
 
     stab_basis: Subspace
     dim: int
@@ -180,7 +194,8 @@ class Embedding:
     def _validate_involution(self) -> None:
         L = self.ambient
         cols = self.theta_cols
-        assert cols is not None
+        if cols is None:
+            raise InvolutionError("embedding carries no involution")
         if len(cols) != L.dim:
             raise InvolutionError("involution matrix has the wrong size")
         for j in range(L.dim):
@@ -246,11 +261,62 @@ def random_combination(rng: random.Random, rows: list[list[int]], bound: int,
             return combine(coeffs, rows, dim)
 
 
-def generic_point(L: LieAlgebra, rows: list[list[int]],
-                  sample_rows: list[list[int]], rng: random.Random,
-                  trials: int, bound: int) -> tuple[list[int], list[list[Fraction]], int]:
-    """Generic point x of V = span(sample_rows) for the centralizer in
-    span(rows).
+_PRIME_LO, _PRIME_HI = 1 << 60, 1 << 61
+_PRIME_SALT = 0x9F1E
+
+
+@lru_cache(maxsize=256)
+def trial_prime(seed: int) -> int:
+    """The modulus of the trial ranks: a prime drawn uniformly from
+    [2^60, 2^61), by rejection on odd candidates, from a stream of its own
+    (``seed`` xor a fixed salt).  The sampling stream is untouched, so p is
+    independent of the samples.  A draw tests about 17 candidates (0.3-0.7
+    ms), as much as a whole small stabilizer, so draws are memoized by
+    seed."""
+    rng = random.Random(seed ^ _PRIME_SALT)
+    while True:
+        n = rng.randrange(_PRIME_LO + 1, _PRIME_HI, 2)
+        if is_prime(n):
+            return n
+
+
+def modular_term(bits: int) -> Fraction:
+    """Probability that a ``trial_prime`` divides a given nonzero integer D
+    with |D| <= 2^bits: D has at most bits/60 prime factors >= 2^60, and
+    [2^60, 2^61) holds more than 2^54.1 primes (Rosser-Schoenfeld)."""
+    return Fraction(-(-bits // 60), 1 << 54)
+
+
+@dataclass(frozen=True)
+class RankedTrials:
+    """The best of the trials of one ``rank_trials`` pass: its sample x, its
+    restricted bracket rows, their rank mod p, and the modular failure term
+    of the pass."""
+
+    x: list[int]
+    restricted: list[list[int]]
+    rank: int
+    modular_term: Fraction
+
+    def kernel(self) -> list[list[Fraction]]:
+        """The exact left kernel of the restricted rows at x.  It is never
+        larger than rows - rank (a rank mod p is at most the rank over Q; a
+        larger kernel raises ``RuntimeError``); it is smaller only when p
+        divided the minors at x, an event the modular term bounds."""
+        lam = left_kernel(self.restricted)
+        if len(lam) > len(self.restricted) - self.rank:
+            raise RuntimeError(
+                f"kernel dimension {len(lam)} at the best sample disagrees with "
+                f"its rank {self.rank} over {len(self.restricted)} rows; "
+                "internal error")
+        return lam
+
+
+def rank_trials(L: LieAlgebra, rows: list[list[int]],
+                sample_rows: list[list[int]], rng: random.Random, trials: int,
+                bound: int, p: int) -> RankedTrials:
+    """The sample x of V = span(sample_rows) of maximal bracket rank, that
+    is of minimal centralizer {sum lam_i rows_i : [sum lam_i rows_i, x] = 0}.
 
     Precondition: V is ad(rows)-stable, so every bracket [rows_i, x] lies in
     V.  This holds for h acting on h-perp or on the (-1)-eigenspace q, and
@@ -259,47 +325,58 @@ def generic_point(L: LieAlgebra, rows: list[list[int]],
     at their pivot columns, and brackets are ranked on those dim V columns
     rather than on all dim g.
 
-    Draws ``trials`` samples and keeps the first one whose centralizer
-    {sum lam_i rows_i : [sum lam_i rows_i, x] = 0} has minimal dimension.
-    That dimension can only exceed the generic value, so the minimum is the
-    generic one except with probability ``sz_bound``.  A trial only ranks its
-    restricted bracket rows (integers, by ``bareiss_echelon``): the first
-    trial of maximal rank is the first of minimal centralizer dimension, and
-    the kernel is computed once, at that sample.  There the precondition is
-    checked exactly: each full bracket v must equal sum_k (v[p_k] / s_k[p_k])
-    s_k over the sample rows s_k with pivots p_k.  That identity is linear in
-    v, so it makes the restriction injective on the brackets' span, and the
-    kernel of the restricted rows is the kernel of the full ones; a failure
-    raises ``RuntimeError``.  Every trial draws its sample, so the random
-    stream advances as if each were ranked.  Returns (x, the kernel
-    coefficient vectors over ``rows`` at x, the kernel dimension)."""
+    Draws ``trials`` samples and keeps the first one of maximal rank.  The
+    centralizer dimension can only exceed the generic value, so the minimum
+    is the generic one except with probability ``sz_bound``.  Each trial is
+    ranked modulo the prime p (``rank_mod_p``), which can only under-rank:
+    the pass picks the first trial whose rank is the generic one unless p
+    divides a nonzero maximal minor of the first trial that reaches it.  p
+    is drawn independently of the samples and that minor is at most
+    2^bits, bits the largest ``hadamard_bits`` over the ranked trials, so
+    this fails with probability at most ``modular_term(bits)``.
+
+    At the best sample the precondition is checked exactly: each full
+    bracket v must equal sum_k (v[p_k] / s_k[p_k]) s_k over the sample rows
+    s_k with pivots p_k.  That identity is linear in v, so it makes the
+    restriction injective on the brackets' span, and ranks and kernels of
+    the restricted rows are those of the full ones; a failure raises
+    ``RuntimeError``.  Every trial draws its sample, so the random stream
+    advances as if each were ranked."""
     pivots = [next(j for j, a in enumerate(s) if a) for s in sample_rows]
-    best_rank = -1
+    best_rank, bits = -1, 0
     best: Optional[tuple[list[int], list[list[int]], list[list[int]]]] = None
     for _ in range(max(1, trials)):
         x = random_combination(rng, sample_rows, bound, L.dim)
         if best_rank == len(rows):
             continue  # a zero kernel cannot be beaten
         brackets = [L.bracket(r, x) for r in rows]
-        restricted = [[v[p] for p in pivots] for v in brackets]
-        rank = len(bareiss_echelon(restricted)[1])
+        restricted = [[v[q] for q in pivots] for v in brackets]
+        bits = max(bits, hadamard_bits(restricted))
+        rank = rank_mod_p(restricted, p)
         if rank > best_rank:
             best_rank, best = rank, (x, brackets, restricted)
     x, brackets, restricted = best
-    scale = lcm(*(s[p] for s, p in zip(sample_rows, pivots)))
-    mults = [scale // s[p] for s, p in zip(sample_rows, pivots)]
+    scale = lcm(*(s[q] for s, q in zip(sample_rows, pivots)))
+    mults = [scale // s[q] for s, q in zip(sample_rows, pivots)]
     for v in brackets:
-        if combine([v[p] * m for p, m in zip(pivots, mults)], sample_rows,
+        if combine([v[q] * m for q, m in zip(pivots, mults)], sample_rows,
                    L.dim) != [scale * a for a in v]:
             raise RuntimeError(
                 "a bracket at the best sample leaves span(sample_rows), which "
                 "must be ad(rows)-stable; internal error")
-    lam = left_kernel(restricted)
-    if len(lam) != len(rows) - best_rank:
-        raise RuntimeError(
-            f"kernel dimension {len(lam)} at the best sample disagrees with its "
-            f"rank {best_rank} over {len(rows)} rows; internal error")
-    return x, lam, len(lam)
+    return RankedTrials(x, restricted, best_rank, modular_term(bits))
+
+
+def generic_point(L: LieAlgebra, rows: list[list[int]],
+                  sample_rows: list[list[int]], rng: random.Random,
+                  trials: int, bound: int) -> tuple[list[int], list[list[Fraction]], int]:
+    """Generic point x of V = span(sample_rows) for the centralizer in
+    span(rows): ``rank_trials`` modulo ``trial_prime(0)``, then the exact
+    kernel at the best sample.  Returns (x, the kernel coefficient vectors
+    over ``rows`` at x, the kernel dimension)."""
+    best = rank_trials(L, rows, sample_rows, rng, trials, bound, trial_prime(0))
+    lam = best.kernel()
+    return best.x, lam, len(lam)
 
 
 def is_abelian(L: LieAlgebra, rows: Sequence[Sequence]) -> bool:
@@ -363,13 +440,16 @@ def generic_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
                        coeff_bound: int = 1 << 20) -> GenericStabilizerReport:
     """Stabilizer of a generic point of h-perp, with certified failure bound.
 
-    ``generic_point`` ranks each trial's brackets on the pivot columns of
-    h-perp ([h, h-perp] lies in h-perp) and takes the stabilizer as the
-    kernel at the first trial of maximal rank, computed once.
-    Abelianness is checked exactly at that sample, and a non-abelian
-    stabilizer gets its reductive rank as the generic centralizer dimension
-    of the stabilizer in itself, a second ranked pass over the trials on the
-    same random stream, ranked on the stabilizer's own pivot columns."""
+    ``rank_trials`` ranks each trial's brackets modulo ``trial_prime(seed)``
+    on the pivot columns of h-perp ([h, h-perp] lies in h-perp), and the
+    stabilizer is the exact kernel at the first trial of maximal rank,
+    computed once.  Abelianness is checked exactly at that sample, and a
+    non-abelian stabilizer gets its reductive rank as the generic
+    centralizer dimension of the stabilizer in itself: a second ranked pass
+    over the trials on the same random stream and the same prime, ranked on
+    the stabilizer's own pivot columns, whose result is dim h* minus its
+    best rank mod p, with no kernel.  Each pass adds its ``modular_term`` to
+    the failure bound."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     key = ("genstab", seed, trials, coeff_bound)
@@ -378,22 +458,25 @@ def generic_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
         return cached
     L = e.ambient
     rng = random.Random(seed)
+    p = trial_prime(seed)
     h_rows = e.h_int_rows()
-    _, lam, dim_stab = generic_point(L, h_rows, _perp_int_rows(e), rng,
-                                     trials, coeff_bound)
+    first = rank_trials(L, h_rows, _perp_int_rows(e), rng, trials, coeff_bound, p)
+    lam = first.kernel()
     stab = lift(lam, h_rows, L.dim)
-    if stab.dim != dim_stab:
+    if stab.dim != len(lam):
         raise RuntimeError("lifted stabilizer lost dimension; internal error")
     stab_rows = _int_rows(stab)
     abelian = is_abelian(L, stab_rows)
     rank = stab.dim
+    failure = 2 * sz_bound(L.dim, coeff_bound, trials) + first.modular_term
     if not abelian:
-        _, _, rank = generic_point(L, stab_rows, stab_rows, rng, trials,
-                                   coeff_bound)
+        second = rank_trials(L, stab_rows, stab_rows, rng, trials, coeff_bound, p)
+        rank = stab.dim - second.rank
+        failure += second.modular_term
     report = GenericStabilizerReport(
         stab_basis=stab, dim=stab.dim, is_abelian=abelian,
         reductive_rank=rank, trials=trials, coefficient_bound=coeff_bound,
-        failure_bound=2 * sz_bound(L.dim, coeff_bound, trials))
+        failure_bound=failure)
     e._cache[key] = report
     return report
 
@@ -401,12 +484,15 @@ def generic_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
 # -- symmetric-pair machinery ---------------------------------------------------
 
 def cartan_subspace_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
-                               coeff_bound: int = 1 << 20) -> tuple[Subspace, Subspace]:
-    """(c, z_h(c)) for a maximal abelian subspace c of the (-1)-eigenspace q.
+                               coeff_bound: int = 1 << 20
+                               ) -> tuple[Subspace, Subspace, Fraction]:
+    """(c, z_h(c), modular term) for a maximal abelian subspace c of the
+    (-1)-eigenspace q.
 
     q is h-perp (checked exactly: the involution is -1 on every perp row).
-    ``generic_point`` picks the sample x in q of minimal dim z_h(x), the
-    same sampling rule as ``generic_stabilizer``.  At that one sample
+    ``rank_trials`` picks the sample x in q of minimal dim z_h(x), the same
+    sampling rule as ``generic_stabilizer``, with its own ``trial_prime``;
+    the third value is that pass's ``modular_term``.  At that one sample
     c = z_q(x) and two exact checks follow: c is abelian, and
     [z_h(x), c] = 0, which with the trivial containment z_h(c) <= z_h(x)
     gives z_h(x) = z_h(c).  A failed check raises ``GenericityError``.
@@ -424,18 +510,18 @@ def cartan_subspace_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
         if any(a + b for a, b in zip(e.apply_theta(r), r)):
             raise InvolutionError("h-perp is not the (-1)-eigenspace of the involution")
     h_rows = e.h_int_rows()
-    x, lam, _ = generic_point(L, h_rows, q_rows, random.Random(seed), trials,
-                              coeff_bound)
-    zx = lift(lam, h_rows, L.dim)
-    c = lift(left_kernel([L.bracket(r, x) for r in q_rows]), q_rows, L.dim)
+    best = rank_trials(L, h_rows, q_rows, random.Random(seed), trials,
+                       coeff_bound, trial_prime(seed))
+    zx = lift(best.kernel(), h_rows, L.dim)
+    c = lift(left_kernel([L.bracket(r, best.x) for r in q_rows]), q_rows, L.dim)
     c_rows = _int_rows(c)
     if not is_abelian(L, c_rows) or any(
             any(L.bracket(zr, cr)) for zr in _int_rows(zx) for cr in c_rows):
         raise GenericityError(
             "the best sample in q is not generic (z_q(x) is not abelian or "
             "does not commute with z_h(x)); retry with a different seed")
-    e._cache[key] = (c, zx)
-    return c, zx
+    e._cache[key] = (c, zx, best.modular_term)
+    return c, zx, best.modular_term
 
 
 # -- reductive decomposition ----------------------------------------------------

@@ -12,11 +12,16 @@ from aregularity.exact_linalg import (
     Subspace,
     bareiss_echelon,
     clear_denominators,
+    combine,
+    hadamard_bits,
+    is_prime,
     kernel,
     left_kernel,
+    rank_mod_p,
     rref,
     solve_linear,
 )
+from subspace_ops import contains_subspace, sum_with
 
 
 def rank(rows):
@@ -91,27 +96,27 @@ class TestSubspace:
     def test_axis_planes(self):
         u = Subspace.span([[1, 0, 0]], 3)
         v = Subspace.span([[0, 1, 0]], 3)
-        assert u.sum_with(v).dim == 2
+        assert sum_with(u, v).dim == 2
         assert u.intersect(v).dim == 0
-        assert not u.contains_subspace(v)
+        assert not contains_subspace(u, v)
 
     def test_idempotence(self):
         u = Subspace.span([[1, 2], [0, 1]], 2)
-        assert u.sum_with(u) == u
+        assert sum_with(u, u) == u
         assert u.intersect(u) == u
-        assert u.contains_subspace(u)
+        assert contains_subspace(u, u)
 
     def test_line_in_plane(self):
         u = Subspace.span([[1, 1, 0]], 3)
         v = Subspace.span([[1, 0, 0], [0, 1, 0]], 3)
         assert v.intersect(u) == u
-        assert v.contains_subspace(u)
+        assert contains_subspace(v, u)
 
     def test_dimension_mismatch(self):
         u, v = Subspace.full(2), Subspace.full(3)
-        for op in (u.sum_with, u.intersect, u.contains_subspace):
+        for op in (sum_with, Subspace.intersect, contains_subspace):
             with pytest.raises(DimensionError):
-                op(v)
+                op(u, v)
 
     def test_coefficients_of(self):
         u = Subspace.span([[1, 0, 2], [0, 1, 3]], 3)
@@ -147,7 +152,7 @@ def test_grassmann_identity(data):
     n, us, vs = data
     u = Subspace.span(us, n)
     v = Subspace.span(vs, n)
-    assert u.sum_with(v).dim + u.intersect(v).dim == u.dim + v.dim
+    assert sum_with(u, v).dim + u.intersect(v).dim == u.dim + v.dim
 
 
 @settings(max_examples=60, deadline=None)
@@ -253,3 +258,63 @@ def test_gauss_jordan_matches_back_substitution(m, rhs):
     assert left_kernel(m) == reference_kernel(transposed, len(m))
     b = rhs[:len(m)]
     assert solve_linear(m, b) == reference_solve(m, b)
+
+
+# 2^61 - 1 and another prime of [2^60, 2^61)
+PRIMES = (2305843009213693951, 2053190322028132673)
+BIG = 1 << 1000
+
+
+@st.composite
+def int_matrices(draw):
+    """Integer matrices with small or 1000-bit entries, stacked with integer
+    combinations of their rows (rank-deficient) and zero rows, shuffled."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
+    base = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=5))
+    mixes = draw(st.lists(st.lists(st.integers(-5, 5), min_size=len(base),
+                                   max_size=len(base)), max_size=3))
+    rows = base + [combine(c, base, ncols) for c in mixes] + \
+        [[0] * ncols] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(int_matrices(), st.sampled_from(PRIMES))
+@example([[BIG + 1, BIG - 1, 3], [0, 0, 0], [2 * BIG + 2, 2 * BIG - 2, 6]],
+         PRIMES[0])
+def test_rank_mod_p_matches_bareiss(rows, p):
+    ech, pivots = bareiss_echelon(rows)
+    assert rank_mod_p(rows, p) == len(pivots)
+    # a full-rank square matrix: the last Bareiss pivot is +-det
+    if len(pivots) == len(rows) == len(rows[0]):
+        assert abs(ech[-1][pivots[-1]]) <= 2 ** hadamard_bits(rows)
+
+
+def test_rank_mod_p_never_exceeds_the_rational_rank():
+    # p divides the one 2 x 2 minor: rank 1 mod p, rank 2 over Q
+    p = PRIMES[0]
+    rows = [[1, 0], [0, p]]
+    assert rank_mod_p(rows, p) == 1 < len(bareiss_echelon(rows)[1])
+    assert rank_mod_p([], p) == 0 and rank_mod_p([[p, 2 * p]], p) == 0
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial_division(n):
+        return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(10 ** 5) if is_prime(n)] == \
+        [n for n in range(10 ** 5) if by_trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # strong pseudoprimes to the bases 2..7 and 2..23 respectively
+    assert not is_prime(n)
+
+
+def test_is_prime_refuses_beyond_its_proven_range():
+    assert is_prime((1 << 61) - 1)
+    with pytest.raises(ValueError):
+        is_prime(1 << 80)

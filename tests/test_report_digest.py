@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-PINNED = "d52c3cfda6e7a7f411e2e2252dfe5611a85011b5b19e6083dba8de865ffd6831"
+PINNED = "b9af4f61e55fe572cf9cceb3f7db9263799e61abf67d4aa51d717e904fae7d5f"
 
 
 def test_report_digest_max_rank_3():

@@ -8,7 +8,7 @@ import pytest
 from aregularity.catalog import default_catalog
 from aregularity.criteria import DecisionConfig, satake_route
 from aregularity.exact_linalg import (
-    Subspace, clear_denominators, kernel, left_kernel, lift)
+    Subspace, clear_denominators, is_prime, kernel, left_kernel, lift)
 from aregularity.lie_core import SimpleFactorDescriptor, _factor_data, build_algebra
 from aregularity import constructors, subalgebras
 from aregularity.subalgebras import (
@@ -21,10 +21,14 @@ from aregularity.subalgebras import (
     generic_point,
     generic_stabilizer,
     is_abelian,
+    modular_term,
     perp,
     random_combination,
     stabilizer,
+    sz_bound,
+    trial_prime,
 )
+from subspace_ops import contains_subspace, sum_with
 
 
 def sl(n):
@@ -305,6 +309,20 @@ def constructible_instances(max_rank):
                 yield row, params, embed(build_algebra(descs), *call)
 
 
+@pytest.fixture
+def pass_terms(monkeypatch):
+    """The modular term of every ``rank_trials`` pass run in the test."""
+    real, terms = subalgebras.rank_trials, []
+
+    def recording(*args):
+        best = real(*args)
+        terms.append(best.modular_term)
+        return best
+
+    monkeypatch.setattr(subalgebras, "rank_trials", recording)
+    return terms
+
+
 class TestGenericPoint:
     def test_ranked_trials_match_per_trial_kernels(self):
         # both passes of generic_stabilizer: h on h-perp, then, for a
@@ -328,17 +346,50 @@ class TestGenericPoint:
         assert rank_passes > 0
 
     def test_rank_kernel_disagreement_raises(self, monkeypatch):
-        real = subalgebras.bareiss_echelon
-
-        def one_rank_too_many(rows):
-            ech, pivots = real(rows)
-            return ech, pivots + [None]
-
-        monkeypatch.setattr(subalgebras, "bareiss_echelon", one_rank_too_many)
+        real = subalgebras.rank_mod_p
+        monkeypatch.setattr(subalgebras, "rank_mod_p",
+                            lambda rows, p: real(rows, p) + 1)
         e = embed(sl(5), "block_sgl", {"p": 2, "q": 3})
         with pytest.raises(RuntimeError, match="disagrees with its rank"):
             generic_point(e.ambient, e.h_int_rows(), int_rows(perp(e)),
                           random.Random(0), 2, 1 << 10)
+
+    def test_rank_short_by_one_keeps_the_exact_kernel(self, monkeypatch):
+        # p dividing the minors at the best sample under-ranks it; the pass
+        # returns the exact kernel there, not rows - (modular rank)
+        e = embed(sl(5), "block_sgl", {"p": 2, "q": 3})
+        args = (e.ambient, e.h_int_rows(), int_rows(perp(e)))
+        want = generic_point(*args, random.Random(0), 2, 1 << 10)
+        real = subalgebras.rank_mod_p
+        monkeypatch.setattr(subalgebras, "rank_mod_p",
+                            lambda rows, p: real(rows, p) - 1)
+        got = generic_point(*args, random.Random(0), 2, 1 << 10)
+        assert got == want
+        assert got[2] == len(got[1]) == 2
+
+    def test_trial_prime(self):
+        primes = [trial_prime(seed) for seed in range(20)]
+        assert all(1 << 60 <= p < 1 << 61 and is_prime(p) for p in primes)
+        assert primes == [trial_prime(seed) for seed in range(20)]
+        assert len(set(primes)) == 20
+
+    def test_modular_term(self):
+        assert modular_term(0) == 0
+        assert modular_term(1) == modular_term(60) == Fraction(1, 2 ** 54)
+        assert modular_term(61) == Fraction(2, 2 ** 54)
+
+    @pytest.mark.parametrize("maker, passes", [
+        (lambda: embed(sl(5), "block_sgl", {"p": 2, "q": 3}), 1),
+        (lambda: embed(sp(6), "sp_sub_center", {"n": 3}), 2),
+    ])
+    def test_failure_bound_accounts_each_ranked_pass(self, pass_terms, maker,
+                                                     passes):
+        e = maker()
+        rep = generic_stabilizer(e, seed=3, trials=4, coeff_bound=1 << 10)
+        assert rep.is_abelian == (passes == 1)
+        assert len(pass_terms) == passes and all(t > 0 for t in pass_terms)
+        assert rep.failure_bound == \
+            2 * sz_bound(e.ambient.dim, 1 << 10, 4) + sum(pass_terms)
 
     @pytest.mark.parametrize("root", [(0, 1), (2, 0)])
     def test_unstable_sample_span_raises(self, root):
@@ -382,7 +433,7 @@ class TestDecompose:
         dec = decompose_reductive(e)
         total = dec.center
         for p in dec.simple_ideals:
-            total = total.sum_with(p)
+            total = sum_with(total, p)
         assert total == e.h_basis
 
 
@@ -427,6 +478,16 @@ class TestSymmetric:
                                      coeff_bound=cfg.coeff_bound)
             assert exact == rep.reductive_rank, e.constructor
 
+    def test_satake_failure_bound_accounts_the_cartan_pass(self, pass_terms):
+        cfg = DecisionConfig(seed=3, trials=4, coeff_bound=1 << 10)
+        e = embed(sl(4), "block_sgl", {"p": 2, "q": 2})
+        cartan_subspace_stabilizer(e, seed=cfg.seed + 17, trials=cfg.trials,
+                                   coeff_bound=cfg.coeff_bound)
+        assert len(pass_terms) == 1 and pass_terms[0] > 0
+        rep = satake_route(e, cfg).certificate.report
+        assert rep.failure_bound == \
+            2 * sz_bound(e.ambient.dim, cfg.coeff_bound, cfg.trials) + pass_terms[0]
+
     def test_non_generic_best_sample_raises(self, monkeypatch):
         # every sample is x = 0, where z_q(x) = q is not abelian
         monkeypatch.setattr(subalgebras, "random_combination",
@@ -444,9 +505,9 @@ class TestSymmetric:
     def test_cartan_subspace_matches_generic_stabilizer(self, maker):
         e = maker()
         L = e.ambient
-        c, zc = cartan_subspace_stabilizer(e, seed=5, trials=4, coeff_bound=1 << 10)
+        c, zc, _ = cartan_subspace_stabilizer(e, seed=5, trials=4, coeff_bound=1 << 10)
         rep = generic_stabilizer(e, seed=11, trials=4, coeff_bound=1 << 10)
-        assert c.dim > 0 and perp(e).contains_subspace(c)
+        assert c.dim > 0 and contains_subspace(perp(e), c)
         assert is_abelian(L, [list(v) for v in c.basis])
         # zc is exactly the centralizer of c in h
         z = e.h_basis
