@@ -9,9 +9,13 @@ growth polynomial.  ``bareiss_echelon`` clears each pivot column below the
 pivot, which is all a rank needs.  ``rref`` runs the same elimination
 Gauss-Jordan style, clearing above the pivot too; every pivot then ends equal
 to the last one, d, and the reduced row-echelon form over Q is the integer
-matrix divided by d, one division per output entry.  ``rank_mod_p`` ranks
-over GF(p) instead, for callers that account for the chance that p divides
-the minor carrying the rank (``hadamard_bits`` bounds its size and
+matrix divided by d, one division per output entry.  ``kernel`` reads the
+reduced row-echelon basis of a kernel off one such elimination of the
+column-reversed rows, and ``lift`` turns a canonical kernel basis over a
+subspace's rows into the canonical basis of its image with no elimination
+at all, by dividing each combination by its leading entry.  ``rank_mod_p``
+ranks over GF(p) instead, for callers that account for the chance that p
+divides the minor carrying the rank (``hadamard_bits`` bounds its size and
 ``is_prime`` certifies p).
 
 ``Subspace`` keeps its basis in reduced row-echelon form with pivot columns
@@ -196,18 +200,29 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[i
 
 
 def kernel(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {v : row . v = 0 for every row}, one vector per non-pivot
-    column (that coordinate 1, the other free coordinates 0)."""
-    rr, pivots = rref(rows)
+    """Canonical basis of {v : row . v = 0 for every row}: the reduced row
+    echelon form of the kernel, in increasing order of leading column.
+
+    One Gauss-Jordan elimination of the column-reversed rows gives the
+    standard kernel basis of the reversed matrix; read back in the original
+    column order, the vector of each free column f is 1 at f, 0 at the other
+    free columns and nonzero only at pivot columns right of f.  Every pivot
+    of the elimination ends equal to the last one, d, so each entry is one
+    ``Fraction(-x, d)``."""
+    m = [clear_denominators(r)[::-1] for r in rows]
+    pivots = _eliminate(m, jordan=True)
+    d = m[-1][pivots[-1]] if pivots else 1
     pivot_set = set(pivots)
+    last = ncols - 1
     basis = []
-    for f in range(ncols):
+    for f in range(last, -1, -1):
         if f in pivot_set:
             continue
         v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -rr[i][f]
+        v[last - f] = Fraction(1)
+        for row, c in zip(m, pivots):
+            if row[f]:
+                v[last - c] = Fraction(-row[f], d)
         basis.append(v)
     return basis
 
@@ -246,12 +261,12 @@ class Subspace:
 
     @classmethod
     def span(cls, vectors: Sequence[Sequence[Scalar]], ambient_dim: int) -> "Subspace":
+        for v in vectors:
+            if len(v) != ambient_dim:
+                raise DimensionError("vector length does not match ambient dimension")
         vecs = [v for v in vectors if any(v)]
         if not vecs:
             return cls(ambient_dim, ())
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise DimensionError("vector length does not match ambient dimension")
         rows, _ = rref(vecs)
         return cls(ambient_dim, tuple(tuple(r) for r in rows))
 
@@ -305,7 +320,10 @@ class Subspace:
         return coeffs
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: echelonize [[U U],[V 0]]; zero-left rows carry U∩V."""
+        """Zassenhaus: echelonize [[U U],[V 0]]; zero-left rows carry U∩V.
+
+        Those rows come last in the RREF, with their pivots in the right
+        half, so their right halves are already the canonical basis."""
         if other.ambient_dim != self.ambient_dim:
             raise DimensionError("ambient dimension mismatch")
         n = self.ambient_dim
@@ -314,11 +332,8 @@ class Subspace:
             stacked.append(list(u) + list(u))
         for v in other.basis:
             stacked.append(list(v) + [Fraction(0)] * n)
-        if not stacked:
-            return Subspace.zero(n)
         rows, _ = rref(stacked)
-        inter = [r[n:] for r in rows if not any(r[:n])]
-        return Subspace.span(inter, n)
+        return Subspace(n, tuple(tuple(r[n:]) for r in rows if not any(r[:n])))
 
 
 def combine(coeffs: Sequence[Scalar], rows: Sequence[Sequence[Scalar]],
@@ -336,8 +351,32 @@ def combine(coeffs: Sequence[Scalar], rows: Sequence[Sequence[Scalar]],
 def lift(coeffs: Sequence[Sequence[Scalar]], rows: Sequence[Sequence[Scalar]],
          dim: int) -> Subspace:
     """Span of the combinations of ``rows`` given by each coefficient vector,
-    e.g. a kernel over a spanning set lifted back to coordinates."""
-    return Subspace.span([combine(lam, rows, dim) for lam in coeffs], dim)
+    e.g. a kernel over a spanning set lifted back to coordinates.
+
+    ``coeffs`` must be a canonical basis (as ``kernel`` and ``left_kernel``
+    return) and ``rows`` nonzero multiples of the rows of a ``Subspace``
+    basis, in order (``clear_denominators`` of each).  Combination k then
+    leads at the pivot of the row where coefficient vector k leads and is
+    zero at the pivots of the other combinations, so dividing each by its
+    leading entry gives the reduced row echelon form of the span with no
+    elimination.  That shape is checked; an input outside the precondition
+    raises ``RuntimeError``."""
+    basis: list[Vector] = []
+    leads: list[int] = []
+    for lam in coeffs:
+        v = combine(clear_denominators(lam), rows, dim)
+        lead = next((j for j, a in enumerate(v) if a), dim)
+        if lead == dim or (leads and lead <= leads[-1]):
+            raise RuntimeError("lift: coefficients or rows are not canonical "
+                               "(a combination is zero or leads out of order)")
+        a = v[lead]
+        basis.append(tuple(Fraction(x, a) for x in v))
+        leads.append(lead)
+    for lead, vec in zip(leads, basis):
+        if any(vec[c] for c in leads if c != lead):
+            raise RuntimeError("lift: coefficients or rows are not canonical "
+                               "(a combination is nonzero at another pivot)")
+    return Subspace(dim, tuple(basis))
 
 
 class IntEchelon:

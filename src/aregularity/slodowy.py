@@ -118,7 +118,7 @@ def slodowy_slice(L: LieAlgebra, t: Sl2Triple) -> SlodowySlice:
     """The affine slice e + ker(ad_f)."""
     _verify_triple(L, list(t.e), list(t.h), list(t.f))
     kern = kernel(L.ad_rows(t.f), L.dim)
-    return SlodowySlice(base=t.e, directions=Subspace.span(kern, L.dim))
+    return SlodowySlice(base=t.e, directions=Subspace(L.dim, tuple(map(tuple, kern))))
 
 
 def slice_regularity_check(L: LieAlgebra, s: SlodowySlice, samples: int = 20,

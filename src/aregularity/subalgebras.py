@@ -367,18 +367,6 @@ def rank_trials(L: LieAlgebra, rows: list[list[int]],
     return RankedTrials(x, restricted, best_rank, modular_term(bits))
 
 
-def generic_point(L: LieAlgebra, rows: list[list[int]],
-                  sample_rows: list[list[int]], rng: random.Random,
-                  trials: int, bound: int) -> tuple[list[int], list[list[Fraction]], int]:
-    """Generic point x of V = span(sample_rows) for the centralizer in
-    span(rows): ``rank_trials`` modulo ``trial_prime(0)``, then the exact
-    kernel at the best sample.  Returns (x, the kernel coefficient vectors
-    over ``rows`` at x, the kernel dimension)."""
-    best = rank_trials(L, rows, sample_rows, rng, trials, bound, trial_prime(0))
-    lam = best.kernel()
-    return best.x, lam, len(lam)
-
-
 def is_abelian(L: LieAlgebra, rows: Sequence[Sequence]) -> bool:
     """Exact check that the given vectors pairwise commute."""
     return all(not any(L.bracket(rows[i], rows[j]))
@@ -413,7 +401,7 @@ def perp(e: Embedding) -> Subspace:
                 for j, g in L.gram_rows[k].items():
                     out[j] += hk * g
         gram_applied.append(out)
-    result = Subspace.span(kernel(gram_applied, L.dim), L.dim)
+    result = Subspace(L.dim, tuple(map(tuple, kernel(gram_applied, L.dim))))
     if result.dim != L.dim - e.dim_h:
         raise DegenerateFormError(
             "trace form restricted to h is degenerate; input is not a "

@@ -17,6 +17,7 @@ from aregularity.exact_linalg import (
     is_prime,
     kernel,
     left_kernel,
+    lift,
     rank_mod_p,
     rref,
     solve_linear,
@@ -118,6 +119,12 @@ class TestSubspace:
             with pytest.raises(DimensionError):
                 op(u, v)
 
+    def test_span_checks_lengths_before_dropping_zero_vectors(self):
+        with pytest.raises(DimensionError):
+            Subspace.span([[0, 0]], 3)
+        with pytest.raises(DimensionError):
+            Subspace.span([[1, 0, 0], [0, 0]], 3)
+
     def test_coefficients_of(self):
         u = Subspace.span([[1, 0, 2], [0, 1, 3]], 3)
         coeffs = u.coefficients_of([2, 5, 19])
@@ -152,7 +159,9 @@ def test_grassmann_identity(data):
     n, us, vs = data
     u = Subspace.span(us, n)
     v = Subspace.span(vs, n)
-    assert sum_with(u, v).dim + u.intersect(v).dim == u.dim + v.dim
+    inter = u.intersect(v)
+    assert sum_with(u, v).dim + inter.dim == u.dim + v.dim
+    assert inter == Subspace.span(inter.basis, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -251,13 +260,77 @@ def matrices(draw):
 @example([[1], [2], [0], [Fraction(1, 2)]], [1, 2, 0, Fraction(1, 2), 0])
 @example([[0, 0], [0, 0]], [1, 0, 0, 0, 0])
 def test_gauss_jordan_matches_back_substitution(m, rhs):
+    # the canonical kernel basis is a function of the kernel alone, so
+    # comparing it with the RREF of the reference basis is as strict as
+    # comparing the bases themselves
     nc = len(m[0])
     assert rref(m) == reference_rref(m)
-    assert kernel(m, nc) == reference_kernel(m, nc)
+    assert kernel(m, nc) == reference_rref(reference_kernel(m, nc))[0]
     transposed = [list(col) for col in zip(*m)]
-    assert left_kernel(m) == reference_kernel(transposed, len(m))
+    assert left_kernel(m) == reference_rref(reference_kernel(transposed, len(m)))[0]
     b = rhs[:len(m)]
     assert solve_linear(m, b) == reference_solve(m, b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(matrices())
+def test_kernel_is_canonical(m):
+    nc = len(m[0])
+    kern = kernel(m, nc)
+    assert [tuple(v) for v in kern] == list(Subspace.span(kern, nc).basis)
+    lam = left_kernel(m)
+    assert [tuple(v) for v in lam] == list(Subspace.span(lam, len(m)).basis)
+
+
+nonunit_scales = st.one_of(
+    st.integers(-6, 6).filter(lambda x: x not in (0, 1)),
+    st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(
+        lambda x: x not in (0, 1)))
+
+
+@st.composite
+def lift_inputs(draw, min_dim=0):
+    """(coefficient rows, rows, dim): a canonical kernel basis of dimension
+    at least ``min_dim`` over non-unit multiples of the rows of a random
+    reduced row echelon matrix."""
+    dim = draw(st.integers(max(1, min_dim), 5))
+    pivots = sorted(draw(st.sets(st.integers(0, dim - 1), min_size=min_dim,
+                                 max_size=dim)))
+    rows = []
+    for p in pivots:
+        scale = draw(nonunit_scales)
+        rows.append([scale if j == p else
+                     scale * draw(scalars) if j > p and j not in pivots else 0
+                     for j in range(dim)])
+    eqs = draw(st.lists(st.lists(scalars, min_size=len(rows), max_size=len(rows)),
+                        max_size=len(rows) - min_dim))
+    return kernel(eqs, len(rows)), rows, dim
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(lift_inputs())
+def test_lift_matches_span_of_combinations(data):
+    coeffs, rows, dim = data
+    assert lift(coeffs, rows, dim) == \
+        Subspace.span([combine(lam, rows, dim) for lam in coeffs], dim)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(lift_inputs(min_dim=2))
+def test_lift_rejects_non_canonical_coefficients(data):
+    coeffs, rows, dim = data
+    # leading columns out of order
+    with pytest.raises(RuntimeError, match="not canonical"):
+        lift(coeffs[::-1], rows, dim)
+    # the first vector no longer zero at the second one's leading column
+    mixed = [[a + b for a, b in zip(coeffs[0], coeffs[1])]] + coeffs[1:]
+    with pytest.raises(RuntimeError, match="not canonical"):
+        lift(mixed, rows, dim)
+
+
+def test_lift_rejects_a_zero_combination():
+    with pytest.raises(RuntimeError, match="not canonical"):
+        lift([[0, 0]], [[1, 0], [0, 1]], 2)
 
 
 # 2^61 - 1 and another prime of [2^60, 2^61)

@@ -18,7 +18,6 @@ from aregularity.subalgebras import (
     cartan_subspace_stabilizer,
     decompose_reductive,
     embed,
-    generic_point,
     generic_stabilizer,
     is_abelian,
     modular_term,
@@ -28,7 +27,7 @@ from aregularity.subalgebras import (
     sz_bound,
     trial_prime,
 )
-from subspace_ops import contains_subspace, sum_with
+from subspace_ops import contains_subspace, generic_point, sum_with
 
 
 def sl(n):

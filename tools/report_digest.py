@@ -30,6 +30,28 @@ from aregularity.subalgebras import embed, generic_stabilizer
 TABLES = ("T1_h_ess", "T2_levi", "T3_symmetric", "T4_spherical", "T5_not_regular")
 
 
+def report_line(header: dict, e, cfg: DecisionConfig) -> str:
+    """The canonical JSON line of one embedding: ``header`` plus the verdict
+    block of ``decide`` without a catalog and the ``generic_stabilizer``
+    fields, at ``cfg``."""
+    verdict = decide(e, cfg)
+    rep = generic_stabilizer(e, seed=cfg.seed, trials=cfg.trials,
+                             coeff_bound=cfg.coeff_bound)
+    return json.dumps({
+        **header,
+        "verdict": _verdict_block(verdict),
+        "generic_stabilizer": {
+            "dim": rep.dim,
+            "is_abelian": rep.is_abelian,
+            "reductive_rank": rep.reductive_rank,
+            "trials": rep.trials,
+            "coefficient_bound": rep.coefficient_bound,
+            "failure_bound": _num(rep.failure_bound),
+            "stab_basis": [_vec(v) for v in rep.stab_basis.basis],
+        },
+    }, sort_keys=True, separators=(",", ":"))
+
+
 def instance_lines(max_rank: int):
     """One canonical JSON line per constructible catalog instance."""
     cfg = DecisionConfig()
@@ -41,23 +63,7 @@ def instance_lines(max_rank: int):
             if call is None or descs is None:
                 continue
             e = embed(build_algebra(descs), call[0], call[1])
-            verdict = decide(e, cfg)
-            rep = generic_stabilizer(e, seed=cfg.seed, trials=cfg.trials,
-                                     coeff_bound=cfg.coeff_bound)
-            yield json.dumps({
-                "row": row.row_id,
-                "params": params,
-                "verdict": _verdict_block(verdict),
-                "generic_stabilizer": {
-                    "dim": rep.dim,
-                    "is_abelian": rep.is_abelian,
-                    "reductive_rank": rep.reductive_rank,
-                    "trials": rep.trials,
-                    "coefficient_bound": rep.coefficient_bound,
-                    "failure_bound": _num(rep.failure_bound),
-                    "stab_basis": [_vec(v) for v in rep.stab_basis.basis],
-                },
-            }, sort_keys=True, separators=(",", ":"))
+            yield report_line({"row": row.row_id, "params": params}, e, cfg)
 
 
 def main(argv=None) -> int:
