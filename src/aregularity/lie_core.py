@@ -37,10 +37,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .exact_linalg import Scalar, bareiss_echelon, clear_denominators
+from .exact_linalg import Scalar, bareiss_echelon, clear_denominators, rank_mod_p
 
 SparseMatrix = dict[tuple[int, int], Fraction | int]
 ElementVector = list[Fraction | int]
+
+# the Mersenne prime 2^61 - 1; any fixed prime keeps ``is_regular`` exact
+_REGULARITY_PRIME = (1 << 61) - 1
 
 
 class UnsupportedTypeError(ValueError):
@@ -315,13 +318,30 @@ class LieAlgebra:
         """(x is regular, dim of its centralizer); requires semisimple.
 
         The reference criterion, dim z_g(x) = rank g, read off the rank of
-        the dim g x dim g ad matrix.  ``is_regular_in_v`` decides the same
-        question in the defining representation, far more cheaply."""
+        the dim g x dim g ad matrix.  That matrix is first ranked modulo the
+        fixed prime 2^61 - 1: a rank mod p never exceeds the rank over Q,
+        which never exceeds dim g - rank g, so a rank mod p of dim g -
+        rank g proves regularity outright.  No failure term is added for it:
+        the shortcut can only decline to answer (when p divides the minor),
+        and then the exact Bareiss rank decides, so the result is the exact
+        one for every x.  ``is_regular_in_v`` decides the same question in
+        the defining representation, far more cheaply."""
         if not self.is_semisimple():
             raise ValueError("regularity is defined here for semisimple algebras")
-        rank = len(bareiss_echelon(self.ad_rows(clear_denominators(x)))[1])
-        cdim = self.dim - rank
+        ad = self.ad_rows(clear_denominators(x))
+        if rank_mod_p(ad, _REGULARITY_PRIME) == self.dim - self.rank:
+            return True, self.rank
+        cdim = self.dim - len(bareiss_echelon(ad)[1])
         return cdim == self.rank, cdim
+
+    def _factor_blocks(self, x: Sequence[Scalar]):
+        """(descriptor, N x N integer block) of each simple factor of x, with
+        x scaled by the lcm of its denominators."""
+        mat = self.matrix_of(clear_denominators(x))
+        for desc, off in zip(self.factors, self.factor_matrix_offsets):
+            n = desc.matrix_size
+            yield desc, [[mat.get((off + a, off + b), 0) for b in range(n)]
+                         for a in range(n)]
 
     def is_regular_in_v(self, x: Sequence[Scalar]) -> bool:
         """Whether x is regular, from matrix powers in the defining
@@ -334,18 +354,35 @@ class LieAlgebra:
         Collingwood-McGovern 1993).  x is regular when every block is."""
         if not self.is_semisimple():
             raise ValueError("regularity is defined here for semisimple algebras")
-        mat = self.matrix_of(clear_denominators(x))
-        for desc, off in zip(self.factors, self.factor_matrix_offsets):
+        for desc, block in self._factor_blocks(x):
             n = desc.matrix_size
-            cols = [[mat.get((off + a, off + b), 0) for a in range(n)]
-                    for b in range(n)]
-            power = [[int(a == b) for b in range(n)] for a in range(n)]
-            flats = [[v for row in power for v in row]]
-            for _ in range(n - 2 if desc.family == "D" else n - 1):
-                power = [[sum(p * q for p, q in zip(row, col)) for col in cols]
-                         for row in power]
-                flats.append([v for row in power for v in row])
+            flats = [[v for row in p for v in row]
+                     for p in _powers(block, n - 1 if desc.family == "D" else n)]
             if len(bareiss_echelon(flats)[1]) < len(flats):
+                return False
+        return True
+
+    def is_diagonalizable_in_v(self, x: Sequence[Scalar]) -> bool:
+        """Whether x is semisimple, from its blocks in the defining
+        representation, in integers only.
+
+        The k independent powers I, X, ..., X^(k-1) of a factor's block X
+        give the degree k of its minimal polynomial.  The k x k Hankel
+        matrix [tr X^(i+j)] is W^T D W, with W the Vandermonde matrix of the
+        s distinct eigenvalues and D their multiplicities, so its rank is s.
+        X is diagonalizable exactly when its minimal polynomial is
+        squarefree, that is when s = k, when that matrix is nonsingular.  A
+        faithful representation preserves Jordan decompositions, so x is
+        semisimple when every block is; central coordinates are diagonal."""
+        for desc, block in self._factor_blocks(x):
+            powers = _powers(block, desc.matrix_size)
+            k = len(bareiss_echelon([[v for row in p for v in row]
+                                     for p in powers])[1])
+            # tr(X^i X^j) from the entries of X^i and the transpose of X^j
+            hankel = [[sum(a * b for row, col in zip(powers[i], zip(*powers[j]))
+                           for a, b in zip(row, col)) for j in range(k)]
+                      for i in range(k)]
+            if len(bareiss_echelon(hankel)[1]) < k:
                 return False
         return True
 
@@ -366,6 +403,18 @@ class LieAlgebra:
 
     def random_element(self, rng: random.Random, bound: int = 9) -> ElementVector:
         return [rng.randint(-bound, bound) for _ in range(self.dim)]
+
+
+def _powers(block: list[list[int]], count: int) -> list[list[list[int]]]:
+    """I, X, ..., X^(count - 1) of a square integer matrix X."""
+    cols = list(zip(*block))
+    power = [[int(a == b) for b in range(len(block))] for a in range(len(block))]
+    out = [power]
+    for _ in range(count - 1):
+        power = [[sum(p * q for p, q in zip(row, col)) for col in cols]
+                 for row in power]
+        out.append(power)
+    return out
 
 
 def _sparse_commutator(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:

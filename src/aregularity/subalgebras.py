@@ -32,7 +32,7 @@ glued embeddings appearing in the classification tables:
     custom(matrices)       explicit basis matrices
 
 Genericity is randomized with explicit Schwartz-Zippel failure bounds.
-Every sampled stabilizer goes through one trial loop, ``rank_trials``: the
+Every generic stabilizer goes through one trial loop, ``rank_trials``: the
 minimum kernel dimension over the trials, read off ranks modulo a prime p on
 the pivot columns of the sampled subspace, with the exact checks (brackets)
 and, where the kernel itself is used, the exact kernel at the best sample
@@ -43,7 +43,9 @@ above the rank over Q, and falls below it only when p divides the minor
 that carries it; each pass ranked mod p adds that chance
 (``modular_term``) to the failure bound.  Only the claim "this sampled
 dimension is the generic minimum" carries the quantified failure
-probability reported in every GenericStabilizerReport.
+probability reported in a GenericStabilizerReport.  The symmetric-pair
+route needs no such claim: ``cartan_subspace_stabilizer`` certifies one
+sample of q exactly (Kostant-Rallis), so its report's bound is 0.
 """
 
 from __future__ import annotations
@@ -107,16 +109,17 @@ class GenericStabilizerReport:
     One sampling rule (``rank_trials``): the dimension is the minimum
     over ``trials`` samples, and the basis and abelianness are exact at the
     best sample.  A non-abelian stabilizer's reductive rank follows the
-    same rule inside the stabilizer; the Satake route instead reports the
-    exact rank z_h(c) = rank g - dim c (``cartan_subspace_stabilizer``).
+    same rule inside the stabilizer.  The Satake route instead reports
+    z_h(c) for a certified Cartan subspace c, with the exact rank
+    rank g - dim c (``cartan_subspace_stabilizer``).
 
     ``failure_bound`` bounds the probability that the dimension or the
     rank exceeds the generic value.  It is 2 * ``sz_bound`` (per-trial
     failure is at most dim(g) / (2 * coefficient_bound + 1)) plus, for each
     pass whose trials were ranked modulo the prime p, that pass's
     ``modular_term``: ceil(bits / 60) / 2^54, with bits the largest log2
-    Hadamard bound of its trial matrices.  The satake route's report counts
-    its one Cartan-subspace pass the same way."""
+    Hadamard bound of its trial matrices.  The satake route's report has
+    nothing sampled to bound, so its ``failure_bound`` is 0."""
 
     stab_basis: Subspace
     dim: int
@@ -261,6 +264,16 @@ def random_combination(rng: random.Random, rows: list[list[int]], bound: int,
             return combine(coeffs, rows, dim)
 
 
+def sample_bounds(trials: int, coeff_bound: int) -> list[int]:
+    """Coefficient bounds of a search for one sample with an exactly checked
+    property (a regular witness, a Cartan-subspace sample): six samples in
+    [-7, 7] first, whose small entries keep matrix powers short and which
+    almost always succeed, since such points are dense; then ``trials``
+    samples at ``coeff_bound``, the only ones a Schwartz-Zippel bound on a
+    failed search counts."""
+    return [7] * 6 + [coeff_bound] * trials
+
+
 _PRIME_LO, _PRIME_HI = 1 << 60, 1 << 61
 _PRIME_SALT = 0x9F1E
 
@@ -356,15 +369,24 @@ def rank_trials(L: LieAlgebra, rows: list[list[int]],
         if rank > best_rank:
             best_rank, best = rank, (x, brackets, restricted)
     x, brackets, restricted = best
+    _check_in_span(L.dim, brackets, sample_rows, pivots)
+    return RankedTrials(x, restricted, best_rank, modular_term(bits))
+
+
+def _check_in_span(dim: int, vectors: list[list[int]],
+                   sample_rows: list[list[int]], pivots: list[int]) -> None:
+    """Raise ``RuntimeError`` unless each vector v equals
+    sum_k (v[p_k] / s_k[p_k]) s_k over the sample rows s_k with pivots p_k,
+    that is unless restricting to the pivot columns is injective on the
+    vectors' span."""
     scale = lcm(*(s[q] for s, q in zip(sample_rows, pivots)))
     mults = [scale // s[q] for s, q in zip(sample_rows, pivots)]
-    for v in brackets:
+    for v in vectors:
         if combine([v[q] * m for q, m in zip(pivots, mults)], sample_rows,
-                   L.dim) != [scale * a for a in v]:
+                   dim) != [scale * a for a in v]:
             raise RuntimeError(
-                "a bracket at the best sample leaves span(sample_rows), which "
+                "a bracket at the sample leaves span(sample_rows), which "
                 "must be ad(rows)-stable; internal error")
-    return RankedTrials(x, restricted, best_rank, modular_term(bits))
 
 
 def is_abelian(L: LieAlgebra, rows: Sequence[Sequence]) -> bool:
@@ -473,19 +495,23 @@ def generic_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
 
 def cartan_subspace_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
                                coeff_bound: int = 1 << 20
-                               ) -> tuple[Subspace, Subspace, Fraction]:
-    """(c, z_h(c), modular term) for a maximal abelian subspace c of the
-    (-1)-eigenspace q.
+                               ) -> tuple[Subspace, Subspace]:
+    """(c, z_h(c)) for a Cartan subspace c of the (-1)-eigenspace q, exact.
 
     q is h-perp (checked exactly: the involution is -1 on every perp row).
-    ``rank_trials`` picks the sample x in q of minimal dim z_h(x), the same
-    sampling rule as ``generic_stabilizer``, with its own ``trial_prime``;
-    the third value is that pass's ``modular_term``.  At that one sample
-    c = z_q(x) and two exact checks follow: c is abelian, and
-    [z_h(x), c] = 0, which with the trivial containment z_h(c) <= z_h(x)
-    gives z_h(x) = z_h(c).  A failed check raises ``GenericityError``.
-    Since z_g(c) = z_h(c) + c is a Levi subalgebra with c central, the
-    reductive rank of z_h(c) is exactly rank g - dim c."""
+    Samples x of q are drawn on the stream ``seed`` with the coefficient
+    bounds of ``sample_bounds``.  A sample is accepted when x is semisimple
+    (``LieAlgebra.is_diagonalizable_in_v``) and c = z_q(x) is abelian; c is
+    one exact kernel over the coordinates where the brackets [q_j, x] are
+    nonzero.  By Kostant-Rallis (1971), z_q(x) is then a Cartan subspace and
+    z_h(x) = z_h(c): z_g(x) = z_h(x) + c is reductive and theta-stable, so
+    ad z_h(x) maps c into c, orthogonally to c under the nondegenerate
+    trace form of z_g(x), hence to 0.  z_h(x) is one exact kernel of the
+    brackets [h_i, x] on q's pivot columns ([h, q] lies in q; checked as
+    ``rank_trials`` checks it).  Neither value is a sampled claim, so the
+    route adds no failure term; when no sample is accepted it raises
+    ``GenericityError``.  Since z_g(c) = z_h(c) + c is a Levi subalgebra
+    with c central, the reductive rank of z_h(c) is exactly rank g - dim c."""
     key = ("cartan_stab", seed, trials, coeff_bound)
     cached = e._cache.get(key)
     if cached is not None:
@@ -497,19 +523,28 @@ def cartan_subspace_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
     for r in q_rows:
         if any(a + b for a, b in zip(e.apply_theta(r), r)):
             raise InvolutionError("h-perp is not the (-1)-eigenspace of the involution")
-    h_rows = e.h_int_rows()
-    best = rank_trials(L, h_rows, q_rows, random.Random(seed), trials,
-                       coeff_bound, trial_prime(seed))
-    zx = lift(best.kernel(), h_rows, L.dim)
-    c = lift(left_kernel([L.bracket(r, best.x) for r in q_rows]), q_rows, L.dim)
-    c_rows = _int_rows(c)
-    if not is_abelian(L, c_rows) or any(
-            any(L.bracket(zr, cr)) for zr in _int_rows(zx) for cr in c_rows):
+    rng = random.Random(seed)
+    for bound in sample_bounds(trials, coeff_bound):
+        x = random_combination(rng, q_rows, bound, L.dim)
+        if not L.is_diagonalizable_in_v(x):
+            continue
+        brackets = [L.bracket(r, x) for r in q_rows]
+        cols = sorted({k for v in brackets for k, a in enumerate(v) if a})
+        c = lift(left_kernel([[v[k] for k in cols] for v in brackets]),
+                 q_rows, L.dim)
+        if is_abelian(L, _int_rows(c)):
+            break
+    else:
         raise GenericityError(
-            "the best sample in q is not generic (z_q(x) is not abelian or "
-            "does not commute with z_h(x)); retry with a different seed")
-    e._cache[key] = (c, zx, best.modular_term)
-    return c, zx, best.modular_term
+            "no sample in q was semisimple with abelian z_q(x); retry with a "
+            "different seed")
+    h_rows = e.h_int_rows()
+    pivots = [next(j for j, a in enumerate(r) if a) for r in q_rows]
+    brackets = [L.bracket(r, x) for r in h_rows]
+    _check_in_span(L.dim, brackets, q_rows, pivots)
+    zc = lift(left_kernel([[v[k] for k in pivots] for v in brackets]), h_rows, L.dim)
+    e._cache[key] = (c, zc)
+    return c, zc
 
 
 # -- reductive decomposition ----------------------------------------------------

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aregularity.exact_linalg import bareiss_echelon
+from aregularity import lie_core
+from aregularity.exact_linalg import bareiss_echelon, clear_denominators
 from aregularity.lie_core import (
     LieAlgebra,
     SimpleFactorDescriptor,
@@ -306,6 +307,96 @@ class TestRegularityInV:
         L = build_algebra([A1], center_dim=1)
         with pytest.raises(ValueError, match="semisimple"):
             L.is_regular_in_v(unit(L, 1))
+
+
+class TestRegularModularRank:
+    @pytest.mark.parametrize("factors", [[A2], [B2], [C2], [D3], [A1, A1]])
+    def test_one_short_modular_rank_gives_the_exact_answer(self, factors,
+                                                           monkeypatch, rng):
+        L = build_algebra(factors)
+        elements = [regular_nilpotent(L), regular_nilpotent(L, 0), torus_ramp(L),
+                    L.zero_element()] + [L.random_element(rng, 3) for _ in range(4)]
+        exact = []
+        for x in elements:
+            cdim = L.dim - len(bareiss_echelon(L.ad_rows(clear_denominators(x)))[1])
+            exact.append((cdim == L.rank, cdim))
+        assert [L.is_regular(x) for x in elements] == exact
+        real = lie_core.rank_mod_p
+        monkeypatch.setattr(lie_core, "rank_mod_p", lambda rows, p: real(rows, p) - 1)
+        assert [L.is_regular(x) for x in elements] == exact
+        assert exact[0][0] and not exact[1][0]
+
+    def test_full_modular_rank_needs_no_exact_rank(self, monkeypatch):
+        L = build_algebra([("B", 3)])
+
+        def no_bareiss(rows):
+            raise AssertionError("exact rank taken for a certified element")
+
+        monkeypatch.setattr(lie_core, "bareiss_echelon", no_bareiss)
+        assert L.is_regular(regular_nilpotent(L)) == (True, L.rank)
+
+
+def strictly_lower_indices(L):
+    return [i for i, mat in enumerate(L.basis) if all(a > b for a, b in mat)]
+
+
+def conjugate(L, n, x):
+    """Ad(exp n) x = sum_k ad(n)^k x / k! for a nilpotent element n."""
+    out, term, k = list(x), list(x), 1
+    while any(term):
+        term = [Fraction(c, k) for c in L.bracket(n, term)]
+        out = [a + b for a, b in zip(out, term)]
+        k += 1
+    return out
+
+
+def torus_and_commuting_root(L, rng):
+    """(d, e): e the first simple root vector and d a torus element with
+    alpha(d) = 0 and random other coordinates, so d has a repeated
+    eigenvalue, [d, e] = 0, and d + e has a Jordan block."""
+    e = unit(L, L.simple_e_indices[0])
+    alpha = [L.bracket(unit(L, i), e)[L.simple_e_indices[0]] for i in L.cartan_indices]
+    d = L.zero_element()
+    for i in L.cartan_indices:
+        d[i] = rng.randint(1, 9)
+    j = next(k for k, a in enumerate(alpha) if a)
+    rest = sum(a * d[i] for k, (a, i) in enumerate(zip(alpha, L.cartan_indices))
+               if k != j)
+    d[L.cartan_indices[j]] = Fraction(-rest, alpha[j])
+    return d, e
+
+
+class TestDiagonalizableInV:
+    @pytest.mark.parametrize("factors", [
+        [A2], [("A", 3)], [B2], [("B", 3)], [D3], [("D", 4)], [C2], [("C", 3)],
+        [A2, C2], [B2, D3]], ids=lambda fs: "+".join(f"{f}{r}" for f, r in fs))
+    def test_conjugated_diagonal_against_jordan_block(self, factors, rng):
+        L = build_algebra(factors)
+        d, e = torus_and_commuting_root(L, rng)
+        assert not any(L.bracket(d, e))
+        upper, lower = L.zero_element(), L.zero_element()
+        for i in strictly_upper_indices(L):
+            upper[i] = rng.randint(-2, 2)
+        for i in strictly_lower_indices(L):
+            lower[i] = rng.randint(-2, 2)
+
+        def p_conj(x):
+            return conjugate(L, lower, conjugate(L, upper, x))
+
+        assert L.is_diagonalizable_in_v(p_conj(d))
+        assert not L.is_diagonalizable_in_v(p_conj([a + b for a, b in zip(d, e)]))
+        assert L.is_diagonalizable_in_v(p_conj(torus_ramp(L)))
+        assert L.is_diagonalizable_in_v(L.zero_element())
+        assert not L.is_diagonalizable_in_v(regular_nilpotent(L))
+        assert not L.is_diagonalizable_in_v(p_conj(regular_nilpotent(L)))
+
+    def test_center_is_diagonal(self):
+        L = build_algebra([A1], center_dim=1)
+        x = L.zero_element()
+        x[-1] = 5
+        assert L.is_diagonalizable_in_v(x)
+        x[L.simple_e_indices[0]] = 1
+        assert not L.is_diagonalizable_in_v(x)
 
 
 class TestBorelDim:

@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from aregularity.catalog import default_catalog
-from aregularity.criteria import DecisionConfig, satake_route
+from aregularity.criteria import DecisionConfig, knop_invariants, satake_route
 from aregularity.exact_linalg import (
     Subspace, clear_denominators, is_prime, kernel, left_kernel, lift)
 from aregularity.lie_core import SimpleFactorDescriptor, _factor_data, build_algebra
@@ -461,6 +462,11 @@ def symmetric_pairs(max_rank):
     ]})
 
 
+@lru_cache(maxsize=None)
+def symmetric_pairs_4():
+    return tuple(symmetric_pairs(4))
+
+
 class TestSymmetric:
     def test_perp_is_minus_one_eigenspace(self):
         for e in symmetric_pairs(4):
@@ -477,15 +483,19 @@ class TestSymmetric:
                                      coeff_bound=cfg.coeff_bound)
             assert exact == rep.reductive_rank, e.constructor
 
-    def test_satake_failure_bound_accounts_the_cartan_pass(self, pass_terms):
+    def test_satake_route_is_exact(self, monkeypatch):
         cfg = DecisionConfig(seed=3, trials=4, coeff_bound=1 << 10)
         e = embed(sl(4), "block_sgl", {"p": 2, "q": 2})
-        cartan_subspace_stabilizer(e, seed=cfg.seed + 17, trials=cfg.trials,
-                                   coeff_bound=cfg.coeff_bound)
-        assert len(pass_terms) == 1 and pass_terms[0] > 0
+        knop_invariants(e, cfg)  # the route's invariants come from route 2
+
+        def no_rank_pass(*args):
+            raise AssertionError("the satake route ran a ranked pass")
+
+        monkeypatch.setattr(subalgebras, "rank_trials", no_rank_pass)
+        monkeypatch.setattr(subalgebras, "trial_prime", no_rank_pass)
         rep = satake_route(e, cfg).certificate.report
-        assert rep.failure_bound == \
-            2 * sz_bound(e.ambient.dim, cfg.coeff_bound, cfg.trials) + pass_terms[0]
+        assert rep.failure_bound == 0
+        assert (rep.dim, rep.reductive_rank) == (1, 1)  # z_h(c) = C, dim c = 2
 
     def test_non_generic_best_sample_raises(self, monkeypatch):
         # every sample is x = 0, where z_q(x) = q is not abelian
@@ -495,16 +505,50 @@ class TestSymmetric:
         with pytest.raises(GenericityError):
             cartan_subspace_stabilizer(e, seed=5, trials=2, coeff_bound=1 << 10)
 
+    @staticmethod
+    def _sl2_torus():
+        # sl(2) > s(gl1 + gl1), which is so(2) in split form: q is spanned
+        # by E_01 and E_10, and E_01 is a nilpotent with z_q(E_01) = C E_01
+        e = embed(sl(2), "block_sgl", {"p": 1, "q": 1})
+        nilpotent = e.ambient.coords_of_matrix({(0, 1): 1})
+        assert perp(e).contains_vector(nilpotent)
+        z_q = lift(left_kernel([e.ambient.bracket(r, nilpotent)
+                                for r in int_rows(perp(e))]),
+                   int_rows(perp(e)), e.ambient.dim)
+        assert z_q == Subspace.span([nilpotent], e.ambient.dim)
+        return e, nilpotent
+
+    def test_non_semisimple_sample_is_skipped(self, monkeypatch):
+        e, nilpotent = self._sl2_torus()
+        real, draws = subalgebras.random_combination, []
+
+        def nilpotent_first(rng, rows, bound, dim):
+            draws.append(real(rng, rows, bound, dim))
+            return nilpotent if len(draws) == 1 else draws[-1]
+
+        monkeypatch.setattr(subalgebras, "random_combination", nilpotent_first)
+        c, zc = cartan_subspace_stabilizer(e, seed=5, trials=2, coeff_bound=1 << 10)
+        assert len(draws) == 2
+        assert c == Subspace.span([draws[1]], e.ambient.dim)
+        assert zc.dim == 0
+
+    def test_all_nilpotent_samples_raise(self, monkeypatch):
+        e, nilpotent = self._sl2_torus()
+        monkeypatch.setattr(subalgebras, "random_combination",
+                            lambda rng, rows, bound, dim: nilpotent)
+        with pytest.raises(GenericityError):
+            cartan_subspace_stabilizer(e, seed=5, trials=2, coeff_bound=1 << 10)
+
     @pytest.mark.parametrize("maker", [
         lambda: embed(sl(3), "so_in_sl", {"n": 3}),
         lambda: embed(sl(4), "block_sgl", {"p": 2, "q": 2}),
         lambda: embed(sl(6), "block_sgl", {"p": 2, "q": 4}),
         lambda: embed(sp(4), "gl_in_sp", {"n": 2}),
-    ])
+    ] + [lambda i=i: symmetric_pairs_4()[i] for i in range(len(symmetric_pairs_4()))])
     def test_cartan_subspace_matches_generic_stabilizer(self, maker):
         e = maker()
         L = e.ambient
-        c, zc, _ = cartan_subspace_stabilizer(e, seed=5, trials=4, coeff_bound=1 << 10)
+        c, zc = cartan_subspace_stabilizer(e, seed=5, trials=4, coeff_bound=1 << 10)
         rep = generic_stabilizer(e, seed=11, trials=4, coeff_bound=1 << 10)
         assert c.dim > 0 and contains_subspace(perp(e), c)
         assert is_abelian(L, [list(v) for v in c.basis])
