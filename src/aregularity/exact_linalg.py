@@ -9,14 +9,19 @@ growth polynomial.  ``bareiss_echelon`` clears each pivot column below the
 pivot, which is all a rank needs.  ``rref`` runs the same elimination
 Gauss-Jordan style, clearing above the pivot too; every pivot then ends equal
 to the last one, d, and the reduced row-echelon form over Q is the integer
-matrix divided by d, one division per output entry.  ``kernel`` reads the
-reduced row-echelon basis of a kernel off one such elimination of the
-column-reversed rows, and ``lift`` turns a canonical kernel basis over a
-subspace's rows into the canonical basis of its image with no elimination
-at all, by dividing each combination by its leading entry.  ``rank_mod_p``
-ranks over GF(p) instead, for callers that account for the chance that p
-divides the minor carrying the rank (``hadamard_bits`` bounds its size and
-``is_prime`` certifies p).
+matrix divided by d, one division per nonzero output entry.  ``kernel`` reads
+the reduced row-echelon basis of a kernel off one such elimination of the
+column-reversed rows.  Both first split the matrix into the connected
+components of its rows and columns (``_blocks``) and run one elimination per
+block on that block's columns, each with its own d: the matrices of this
+package (Gram rows, 1 + theta, Levi subalgebras) are block-sparse, and a
+pivot never touches the rows of another block.  ``bareiss_echelon`` does
+not split: its callers rank dense matrices.  ``lift`` turns a canonical
+kernel basis over a subspace's rows into the canonical basis of its image
+with no elimination at all, by dividing each combination by its leading
+entry.  ``rank_mod_p`` ranks over GF(p) instead, for callers that account
+for the chance that p divides the minor carrying the rank
+(``hadamard_bits`` bounds its size and ``is_prime`` certifies p).
 
 ``Subspace`` keeps its basis in reduced row-echelon form with pivot columns
 in increasing order, so two subspaces are equal iff their stored
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from typing import Optional, Sequence
 
@@ -46,18 +52,16 @@ def _frac(x: Scalar) -> Fraction:
 
 
 def clear_denominators(row: Sequence[Scalar]) -> list[int]:
-    """Scale a rational row by the lcm of its denominators; returns ints."""
-    den = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            den = lcm(den, x.denominator)
-    out = []
-    for x in row:
-        if isinstance(x, Fraction):
-            out.append(x.numerator * (den // x.denominator))
-        else:
-            out.append(x * den)
-    return out
+    """Scale a rational row by the lcm of its denominators; returns ints.
+
+    Entries are read through ``numerator`` and ``denominator``, which ints
+    have too; a row of plain ints is only copied (``isinstance`` against
+    ``Fraction``, an ABC, costs more than the copy)."""
+    dens = [x.denominator for x in row if type(x) is not int]
+    if not dens:
+        return list(row)
+    den = lcm(*dens)
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def _eliminate(m: list[list[int]], jordan: bool) -> list[int]:
@@ -185,46 +189,122 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _blocks(m: Sequence[Sequence[int]], ncols: int) -> list[tuple[list[int], list[int]]]:
+    """The connected components of the bipartite graph in which row i joins
+    column j when m[i][j] is nonzero, as (row indices, column indices) in
+    increasing order, the blocks in increasing order of their first column.
+
+    Every nonzero entry lies in exactly one block; zero rows and zero
+    columns lie in none.  Union-find over the columns: each row links its
+    nonzero columns, and the scan stops linking once all columns are one
+    component, as they are after the first row of a dense matrix."""
+    parent = list(range(ncols))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    comps = ncols
+    rows: list[int] = []
+    firsts: list[int] = []
+    used = [False] * ncols
+    for i, row in enumerate(m):
+        nonzero = compress(range(ncols), row)
+        first = next(nonzero, None)
+        if first is None:
+            continue
+        rows.append(i)
+        firsts.append(first)
+        if comps == 1:
+            continue
+        used[first] = True
+        r = find(first)
+        for j in nonzero:
+            used[j] = True
+            rj = find(j)
+            if rj != r:
+                parent[rj] = r
+                comps -= 1
+    if comps == 1 and rows:
+        return [(rows, list(range(ncols)))]
+    blocks: dict[int, tuple[list[int], list[int]]] = {}
+    for c in range(ncols):
+        if used[c]:
+            blocks.setdefault(find(c), ([], []))[1].append(c)
+    for i, c in zip(rows, firsts):
+        blocks[find(c)][0].append(i)
+    return list(blocks.values())
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Q (unit pivots, zeros above pivots).
 
-    Fraction-free Gauss-Jordan elimination of the denominator-cleared rows
-    leaves every pivot equal to the last one, d, so each output entry is
-    one ``Fraction(x, d)``."""
+    The denominator-cleared rows split into the blocks of ``_blocks``, whose
+    row spaces have disjoint column supports, so the RREF is the union of
+    the blocks' RREF rows in increasing order of pivot column.  Each block
+    takes one fraction-free Gauss-Jordan elimination on its own columns,
+    which leaves every pivot of the block equal to its last one, d, so each
+    nonzero output entry is one ``Fraction(x, d)``."""
     m = [clear_denominators(r) for r in rows]
-    pivots = _eliminate(m, jordan=True)
-    if not pivots:
-        return [], []
-    d = m[-1][pivots[-1]]
-    return [[Fraction(x, d) for x in row] for row in m], pivots
+    ncols = len(m[0]) if m else 0
+    out: list[tuple[int, list[Fraction]]] = []
+    for bi, cols in _blocks(m, ncols):
+        sub = [[m[i][c] for c in cols] for i in bi]
+        pivots = _eliminate(sub, jordan=True)
+        d = sub[-1][pivots[-1]]
+        for row, p in zip(sub, pivots):
+            v = [_ZERO] * ncols
+            for c, x in zip(cols, row):
+                if x:
+                    v[c] = Fraction(x, d)
+            out.append((cols[p], v))
+    out.sort(key=lambda t: t[0])
+    return [v for _, v in out], [p for p, _ in out]
 
 
 def kernel(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Fraction]]:
     """Canonical basis of {v : row . v = 0 for every row}: the reduced row
     echelon form of the kernel, in increasing order of leading column.
 
-    One Gauss-Jordan elimination of the column-reversed rows gives the
-    standard kernel basis of the reversed matrix; read back in the original
-    column order, the vector of each free column f is 1 at f, 0 at the other
-    free columns and nonzero only at pivot columns right of f.  Every pivot
-    of the elimination ends equal to the last one, d, so each entry is one
-    ``Fraction(-x, d)``."""
-    m = [clear_denominators(r)[::-1] for r in rows]
-    pivots = _eliminate(m, jordan=True)
-    d = m[-1][pivots[-1]] if pivots else 1
-    pivot_set = set(pivots)
-    last = ncols - 1
-    basis = []
-    for f in range(last, -1, -1):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[last - f] = Fraction(1)
-        for row, c in zip(m, pivots):
-            if row[f]:
-                v[last - c] = Fraction(-row[f], d)
-        basis.append(v)
-    return basis
+    The kernel is the direct sum of the kernels of the blocks of
+    ``_blocks``, each on its own columns, and of the unit vectors of the
+    zero columns.  One Gauss-Jordan elimination of a block's column-reversed
+    rows gives the standard kernel basis of the reversed block; read back
+    in the original column order, the vector of each free column f is 1 at
+    f, 0 at the other free columns and nonzero only at pivot columns right
+    of f.  Every pivot of the block's elimination ends equal to its last
+    one, d, so each entry is one ``Fraction(-x, d)``."""
+    m = [clear_denominators(r) for r in rows]
+    out: list[tuple[int, list[Fraction]]] = []
+    free = [True] * ncols
+    for bi, cols in _blocks(m, ncols):
+        rev = cols[::-1]
+        sub = [[m[i][c] for c in rev] for i in bi]
+        pivots = _eliminate(sub, jordan=True)
+        d = sub[-1][pivots[-1]]
+        pivot_set = set(pivots)
+        for c in cols:
+            free[c] = False
+        for f, col in enumerate(rev):
+            if f in pivot_set:
+                continue
+            v = [_ZERO] * ncols
+            v[col] = _ONE
+            for row, c in zip(sub, pivots):
+                if row[f]:
+                    v[rev[c]] = Fraction(-row[f], d)
+            out.append((col, v))
+    for c in range(ncols):
+        if free[c]:
+            v = [_ZERO] * ncols
+            v[c] = _ONE
+            out.append((c, v))
+    out.sort(key=lambda t: t[0])
+    return [v for _, v in out]
 
 
 def left_kernel(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
@@ -377,24 +457,3 @@ def lift(coeffs: Sequence[Sequence[Scalar]], rows: Sequence[Sequence[Scalar]],
             raise RuntimeError("lift: coefficients or rows are not canonical "
                                "(a combination is nonzero at another pivot)")
     return Subspace(dim, tuple(basis))
-
-
-class IntEchelon:
-    """Reusable fraction-free membership tester for a fixed row space."""
-
-    def __init__(self, rows: Sequence[Sequence[Scalar]]):
-        int_rows = [clear_denominators(r) for r in rows if any(r)]
-        self.ncols = len(rows[0]) if rows else 0
-        self.rows, self.pivots = bareiss_echelon(int_rows) if int_rows else ([], [])
-
-    def residual(self, v: Sequence[int]) -> list[int]:
-        w = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if w[p]:
-                piv = row[p]
-                coef = w[p]
-                w = [piv * a - coef * b for a, b in zip(w, row)]
-        return w
-
-    def contains(self, v: Sequence[int]) -> bool:
-        return not any(self.residual(v))

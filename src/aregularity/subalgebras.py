@@ -58,7 +58,6 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .exact_linalg import (
-    IntEchelon,
     Subspace,
     bareiss_echelon,
     clear_denominators,
@@ -168,17 +167,21 @@ class Embedding:
         return rows
 
     def _validate_closure(self) -> None:
+        """Raise ``BracketClosureError`` unless every bracket of two basis
+        rows of h lies in h.  h's integer rows are multiples of its RREF
+        rows, so a bracket v lies in h exactly when it equals
+        sum_k (v[p_k] / r_k[p_k]) r_k over the rows r_k with pivots p_k
+        (``_in_span``); h is never echelonized again."""
         L = self.ambient
         rows = self.h_int_rows()
-        if not rows:
-            return
-        ech = IntEchelon(rows)
+        pivots = [next(j for j, a in enumerate(r) if a) for r in rows]
         for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                br = L.bracket(rows[i], rows[j])
-                if any(br) and not ech.contains(br):
-                    raise BracketClosureError(
-                        f"bracket of basis vectors {i}, {j} leaves the subalgebra")
+            brackets = [L.bracket(rows[i], rows[j]) for j in range(i + 1, len(rows))]
+            if not _in_span(L.dim, brackets, rows, pivots):
+                j = next(j for j, v in enumerate(brackets, i + 1)
+                         if not _in_span(L.dim, [v], rows, pivots))
+                raise BracketClosureError(
+                    f"bracket of basis vectors {i}, {j} leaves the subalgebra")
 
     # -- involution ------------------------------------------------------------
 
@@ -373,20 +376,29 @@ def rank_trials(L: LieAlgebra, rows: list[list[int]],
     return RankedTrials(x, restricted, best_rank, modular_term(bits))
 
 
-def _check_in_span(dim: int, vectors: list[list[int]],
-                   sample_rows: list[list[int]], pivots: list[int]) -> None:
-    """Raise ``RuntimeError`` unless each vector v equals
-    sum_k (v[p_k] / s_k[p_k]) s_k over the sample rows s_k with pivots p_k,
-    that is unless restricting to the pivot columns is injective on the
-    vectors' span."""
+def _in_span(dim: int, vectors: list[list[int]],
+             sample_rows: list[list[int]], pivots: list[int]) -> bool:
+    """Whether each vector v equals sum_k (v[p_k] / s_k[p_k]) s_k over the
+    sample rows s_k with pivots p_k.  For rows that are multiples of RREF
+    rows, that is whether every vector lies in their span; in general it
+    says that restricting to the pivot columns is injective on the vectors'
+    span."""
     scale = lcm(*(s[q] for s, q in zip(sample_rows, pivots)))
     mults = [scale // s[q] for s, q in zip(sample_rows, pivots)]
     for v in vectors:
-        if combine([v[q] * m for q, m in zip(pivots, mults)], sample_rows,
-                   dim) != [scale * a for a in v]:
-            raise RuntimeError(
-                "a bracket at the sample leaves span(sample_rows), which "
-                "must be ad(rows)-stable; internal error")
+        if any(v) and combine([v[q] * m for q, m in zip(pivots, mults)],
+                              sample_rows, dim) != [scale * a for a in v]:
+            return False
+    return True
+
+
+def _check_in_span(dim: int, vectors: list[list[int]],
+                   sample_rows: list[list[int]], pivots: list[int]) -> None:
+    """Raise ``RuntimeError`` unless ``_in_span`` holds."""
+    if not _in_span(dim, vectors, sample_rows, pivots):
+        raise RuntimeError(
+            "a bracket at the sample leaves span(sample_rows), which "
+            "must be ad(rows)-stable; internal error")
 
 
 def is_abelian(L: LieAlgebra, rows: Sequence[Sequence]) -> bool:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from aregularity.exact_linalg import (
     DimensionError,
-    IntEchelon,
+    _blocks,
     Subspace,
     bareiss_echelon,
     clear_denominators,
@@ -177,12 +177,6 @@ def test_canonical_form_under_row_operations(data):
     assert u == v
 
 
-def test_int_echelon_membership():
-    ech = IntEchelon([[1, 0, 2], [0, 1, 3]])
-    assert ech.contains([2, 5, 19])
-    assert not ech.contains([0, 0, 1])
-
-
 # -- the fraction-free Gauss-Jordan rref against Fraction back-substitution ----
 
 def reference_rref(rows):
@@ -233,10 +227,10 @@ scalars = st.one_of(small_entries,
 
 
 @st.composite
-def matrices(draw):
-    """1..5 x 1..5 rational matrices: low-rank products or dense draws, with
-    some rows and columns zeroed."""
-    nr, nc = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+def matrices(draw, max_dim=5):
+    """1..max_dim x 1..max_dim rational matrices: low-rank products or dense
+    draws, with some rows and columns zeroed."""
+    nr, nc = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
     if draw(st.booleans()):
         k = draw(st.integers(0, min(nr, nc)))
         a = draw(st.lists(st.lists(scalars, min_size=k, max_size=k),
@@ -270,6 +264,64 @@ def test_gauss_jordan_matches_back_substitution(m, rhs):
     assert left_kernel(m) == reference_rref(reference_kernel(transposed, len(m)))[0]
     b = rhs[:len(m)]
     assert solve_linear(m, b) == reference_solve(m, b)
+
+
+@st.composite
+def block_matrices(draw):
+    """Block-diagonal matrices of 1..4 blocks of at most 3 x 3, padded with
+    zero rows and columns to at most 12 x 12, under random row and column
+    permutations."""
+    blocks = draw(st.lists(matrices(max_dim=3), min_size=1, max_size=4))
+    nr0, nc0 = sum(len(b) for b in blocks), sum(len(b[0]) for b in blocks)
+    nr = nr0 + draw(st.integers(0, 12 - nr0))
+    nc = nc0 + draw(st.integers(0, 12 - nc0))
+    m = [[0] * nc for _ in range(nr)]
+    r0 = c0 = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            m[r0 + i][c0:c0 + len(row)] = row
+        r0, c0 = r0 + len(b), c0 + len(b[0])
+    cols = draw(st.permutations(range(nc)))
+    return [[row[c] for c in cols] for row in draw(st.permutations(m))]
+
+
+def assert_exact_partition(m, blocks):
+    """The blocks of ``_blocks`` partition the nonzero entries of m into
+    connected pieces, in the documented order."""
+    nonzero = {(i, j) for i, row in enumerate(m) for j, a in enumerate(row) if a}
+    block_rows = [i for bi, _ in blocks for i in bi]
+    block_cols = [j for _, cols in blocks for j in cols]
+    assert sorted(block_rows) == sorted({i for i, _ in nonzero})
+    assert sorted(block_cols) == sorted({j for _, j in nonzero})
+    of_row = {i: k for k, (bi, _) in enumerate(blocks) for i in bi}
+    of_col = {j: k for k, (_, cols) in enumerate(blocks) for j in cols}
+    assert all(of_row[i] == of_col[j] for i, j in nonzero)
+    assert [cols[0] for _, cols in blocks] == sorted(cols[0] for _, cols in blocks)
+    for bi, cols in blocks:
+        assert bi == sorted(bi) and cols == sorted(cols)
+        seen, todo = {("r", bi[0])}, [("r", bi[0])]
+        while todo:
+            kind, x = todo.pop()
+            nbrs = [("c", j) for i, j in nonzero if i == x] if kind == "r" else \
+                [("r", i) for i, j in nonzero if j == x]
+            for n in nbrs:
+                if n not in seen:
+                    seen.add(n)
+                    todo.append(n)
+        assert seen == {("r", i) for i in bi} | {("c", j) for j in cols}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(block_matrices())
+# blocks with different d, interleaved free columns, a zero row and column
+@example([[1, 0, 1, 1, 0, 0], [0, 0, 0, 0, 0, 0], [0, 2, 0, 0, 4, 0]])
+def test_block_split_matches_unsplit_elimination(m):
+    nr, nc = len(m), len(m[0])
+    assert_exact_partition(m, _blocks([clear_denominators(r) for r in m], nc))
+    assert rref(m) == reference_rref(m)
+    assert kernel(m, nc) == reference_rref(reference_kernel(m, nc))[0]
+    transposed = [list(col) for col in zip(*m)]
+    assert left_kernel(m) == reference_rref(reference_kernel(transposed, nr))[0]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -11,7 +11,7 @@ from aregularity.criteria import DecisionConfig, knop_invariants, satake_route
 from aregularity.exact_linalg import (
     Subspace, clear_denominators, is_prime, kernel, left_kernel, lift)
 from aregularity.lie_core import SimpleFactorDescriptor, _factor_data, build_algebra
-from aregularity import constructors, subalgebras
+from aregularity import constructors, exact_linalg, subalgebras
 from aregularity.subalgebras import (
     BracketClosureError,
     Embedding,
@@ -163,6 +163,36 @@ class TestConstructors:
                 [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
                 [[0, 0, 0], [1, 0, 0], [0, 0, 0]],
             ]})
+
+    def test_closure_with_non_unit_pivots(self):
+        # h = span{diag(2, -1, -1), 2 e12 + e13}: both integer RREF rows have
+        # pivot 2, and [H, X] = 3X lies in h
+        L = sl(3)
+        x = [[0, 2, 1], [0, 0, 0], [0, 0, 0]]
+        e = embed(L, "custom", {"matrices": [[[2, 0, 0], [0, -1, 0], [0, 0, -1]], x]})
+        assert sorted(next(a for a in r if a) for r in e.h_int_rows()) == [2, 2]
+        # with diag(1, 0, -1), [H, X] = 2 e12 + 2 e13 agrees with X on the
+        # pivot column e12 but not at e13
+        with pytest.raises(BracketClosureError, match="vectors 0, 1"):
+            embed(L, "custom", {"matrices": [[[1, 0, 0], [0, 0, 0], [0, 0, -1]], x]})
+
+    def test_block_split_engages_on_block_sgl(self, monkeypatch):
+        # perp's Gram rows pair each root space with its opposite, and 1 + theta
+        # is diagonal, so rref and kernel must split them into many blocks
+        e = embed(sl(10), "block_sgl", {"p": 3, "q": 7})
+        original, counts = exact_linalg._blocks, []
+
+        def counted(m, ncols):
+            blocks = original(m, ncols)
+            counts.append(len(blocks))
+            return blocks
+
+        monkeypatch.setattr(exact_linalg, "_blocks", counted)
+        perp(e)
+        assert counts and max(counts) >= 40
+        counts.clear()
+        subalgebras.fixed_algebra(e.theta_cols)
+        assert counts == [57]
 
     @pytest.mark.parametrize("p", [0, -1])
     def test_block_sgl_rejects_non_positive_blocks(self, p):
