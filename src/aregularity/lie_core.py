@@ -362,6 +362,43 @@ class LieAlgebra:
                 return False
         return True
 
+    def invariant_jacobian_rank(self, x: Sequence[Scalar],
+                                rows: Sequence[Sequence[int]], p: int) -> int:
+        """rank mod p of the Jacobian J(x) of g's invariants on V = span(rows).
+
+        Row (f, k) of J is [tr(X_f^k S_j,f)]_j, the differential at x of
+        tr X_f^(k+1) / (k + 1) along the rows S_j, with X_f and S_j,f the
+        N x N blocks of x and S_j in the simple factor f: k = 1, ..., N - 1
+        for sl(N), and the odd k < N for so(N) and sp(N), where odd powers
+        have trace 0.  These traces generate each factor's invariants, up to
+        the Pfaffian of so(2r), whose square is a polynomial in them, so J
+        has the generic rank of the full Jacobian of the simple factors'
+        invariants (central coordinates are left out).  An invariant F is
+        constant on orbits, so
+        dF_x([y, x]) = 0 and every bracket [y, x] inside V lies in ker J(x).
+        A rank mod p never exceeds the rank over Q, which never exceeds J's
+        generic rank, so the result is at most that rank for every x and p."""
+        sparse = [[(i, a % p) for i, a in enumerate(r) if a] for r in rows]
+        jac = []
+        for (desc, block), (b0, b1), off in zip(
+                self._factor_blocks(x), self.factor_basis_slices,
+                self.factor_matrix_offsets):
+            odd = desc.family != "A"
+            ks = range(1, desc.matrix_size, 2 if odd else 1)
+            xf = [[a % p for a in row] for row in block]
+            step = _mul_mod(xf, xf, p) if odd and len(ks) > 1 else xf
+            power = xf
+            for k in ks:
+                if k > 1:
+                    power = _mul_mod(power, step, p)
+                # tr(X^k E_ab) = (X^k)_ba over the entries of each basis matrix
+                traces = {i: sum(v * power[b - off][a - off]
+                                 for (a, b), v in self.basis[i].items())
+                          for i in range(b0, b1)}
+                jac.append([sum(a * traces.get(i, 0) for i, a in s) % p
+                            for s in sparse])
+        return rank_mod_p(jac, p)
+
     def is_diagonalizable_in_v(self, x: Sequence[Scalar]) -> bool:
         """Whether x is semisimple, from its blocks in the defining
         representation, in integers only.
@@ -415,6 +452,12 @@ def _powers(block: list[list[int]], count: int) -> list[list[list[int]]]:
                  for row in power]
         out.append(power)
     return out
+
+
+def _mul_mod(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
+    """The product of two square integer matrices modulo p."""
+    cols = list(zip(*b))
+    return [[sum(u * v for u, v in zip(row, col)) % p for col in cols] for row in a]
 
 
 def _sparse_commutator(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:

@@ -36,16 +36,21 @@ Every generic stabilizer goes through one trial loop, ``rank_trials``: the
 minimum kernel dimension over the trials, read off ranks modulo a prime p on
 the pivot columns of the sampled subspace, with the exact checks (brackets)
 and, where the kernel itself is used, the exact kernel at the best sample
-only.  p is drawn uniformly from the primes in [2^60, 2^61)
-(``trial_prime``), once per stabilizer call and from a stream of its own,
-so samples, bases and witnesses do not depend on it.  A rank mod p is never
-above the rank over Q, and falls below it only when p divides the minor
-that carries it; each pass ranked mod p adds that chance
-(``modular_term``) to the failure bound.  Only the claim "this sampled
-dimension is the generic minimum" carries the quantified failure
-probability reported in a GenericStabilizerReport.  The symmetric-pair
-route needs no such claim: ``cartan_subspace_stabilizer`` certifies one
-sample of q exactly (Kostant-Rallis), so its report's bound is 0.
+only.  Ranking stops at the first trial whose rank reaches dim V minus the
+rank of the invariants' Jacobian at the first sample, a cap no trial can
+pass (Knop's moment-map image); later trials are still drawn and counted in
+the failure bound, so reports do not depend on the stop.  p is drawn
+uniformly from the primes in [2^60, 2^61) (``trial_prime``), once per
+stabilizer call and from a stream of its own, so samples, bases and
+witnesses do not depend on it.  A rank mod p is never above the rank over
+Q, and falls below it only when p divides the minor that carries it; each
+pass ranked mod p adds that chance (``modular_term``, bounded over the
+minors of every trial the pass drew) to the failure bound.  Only the claim
+"this sampled dimension is the generic minimum" carries the quantified
+failure probability reported in a GenericStabilizerReport.  The
+symmetric-pair route needs no such claim: ``cartan_subspace_stabilizer``
+certifies one sample of q exactly (Kostant-Rallis), so its report's bound
+is 0.
 """
 
 from __future__ import annotations
@@ -117,8 +122,10 @@ class GenericStabilizerReport:
     failure is at most dim(g) / (2 * coefficient_bound + 1)) plus, for each
     pass whose trials were ranked modulo the prime p, that pass's
     ``modular_term``: ceil(bits / 60) / 2^54, with bits the largest log2
-    Hadamard bound of its trial matrices.  The satake route's report has
-    nothing sampled to bound, so its ``failure_bound`` is 0."""
+    Hadamard bound of the trial matrices it drew, including those it did
+    not rank once a trial was certified generic (``rank_trials``).  The
+    satake route's report has nothing sampled to bound, so its
+    ``failure_bound`` is 0."""
 
     stab_basis: Subspace
     dim: int
@@ -208,14 +215,23 @@ class Embedding:
             sq = self.apply_theta(cols[j])
             if any(sq[i] != (1 if i == j else 0) for i in range(L.dim)):
                 raise InvolutionError("involution does not square to the identity")
-        # automorphism property on all basis pairs
+        # automorphism property on all basis pairs; a signed permutation
+        # theta(e_k) = s_k e_pi(k) is checked on the structure constants,
+        # theta[e_i, e_j] = sum_k c_k s_k e_pi(k) against s_i s_j [e_pi(i), e_pi(j)]
+        perm = _signed_permutation(cols)
         for i in range(L.dim):
             for j, terms in L.bracket_rows[i].items():
                 if j < i:
                     continue
-                lhs = combine([c for _, c in terms], [cols[k] for k, _ in terms], L.dim)
-                rhs = L.bracket(cols[i], cols[j])
-                if any(a != b for a, b in zip(lhs, rhs)):
+                if perm is not None:
+                    (pi, si), (pj, sj) = perm[i], perm[j]
+                    lhs = {perm[k][0]: perm[k][1] * c for k, c in terms}
+                    rhs = {k: si * sj * c for k, c in L.bracket_rows[pi].get(pj, ())}
+                else:
+                    lhs = combine([c for _, c in terms], [cols[k] for k, _ in terms],
+                                  L.dim)
+                    rhs = L.bracket(cols[i], cols[j])
+                if lhs != rhs:
                     raise InvolutionError(
                         f"involution fails the automorphism law on pair ({i}, {j})")
         # theta^2 = 1 makes dim Fix(theta) = (dim g + tr theta) / 2, so h is
@@ -233,6 +249,15 @@ class Embedding:
         if dec is None:
             dec = self._cache["ideals"] = decompose_reductive(self)
         return dec
+
+
+def _signed_permutation(cols: Sequence[Sequence]) -> Optional[list[tuple[int, int]]]:
+    """(pi(k), s_k) for every column k when each column of theta is a single
+    s_k = +-1 at row pi(k); None otherwise."""
+    entries = [[(i, c) for i, c in enumerate(col) if c] for col in cols]
+    if all(len(nz) == 1 and nz[0][1] in (1, -1) for nz in entries):
+        return [nz[0] for nz in entries]
+    return None
 
 
 def fixed_algebra(theta_cols: Sequence[Sequence]) -> Subspace:
@@ -318,7 +343,11 @@ class RankedTrials:
         """The exact left kernel of the restricted rows at x.  It is never
         larger than rows - rank (a rank mod p is at most the rank over Q; a
         larger kernel raises ``RuntimeError``); it is smaller only when p
-        divided the minors at x, an event the modular term bounds."""
+        divided the minors at x, an event the modular term bounds.  At full
+        rank the kernel is therefore zero, and is returned without an
+        elimination."""
+        if self.rank == len(self.restricted):
+            return []
         lam = left_kernel(self.restricted)
         if len(lam) > len(self.restricted) - self.rank:
             raise RuntimeError(
@@ -343,13 +372,28 @@ def rank_trials(L: LieAlgebra, rows: list[list[int]],
 
     Draws ``trials`` samples and keeps the first one of maximal rank.  The
     centralizer dimension can only exceed the generic value, so the minimum
-    is the generic one except with probability ``sz_bound``.  Each trial is
+    is the generic one except with probability ``sz_bound``.  Trials are
     ranked modulo the prime p (``rank_mod_p``), which can only under-rank:
     the pass picks the first trial whose rank is the generic one unless p
     divides a nonzero maximal minor of the first trial that reaches it.  p
     is drawn independently of the samples and that minor is at most
-    2^bits, bits the largest ``hadamard_bits`` over the ranked trials, so
+    2^bits, bits the largest ``hadamard_bits`` over the drawn trials, so
     this fails with probability at most ``modular_term(bits)``.
+
+    Ranking stops once a trial is certified generic.  Invariants of g are
+    constant on orbits, so every bracket [rows_i, x] lies in the kernel of
+    the invariants' Jacobian J(x) on V (``invariant_jacobian_rank``), and
+    the generic rank is at most dim V - rank J(x_g) <= dim V - rank_p J(x_1)
+    = cap, with x_g a point generic for both ranks and x_1 the first
+    trial.  A trial ranked at the cap has the generic rank and no later
+    trial can rank above it, so later trials are drawn, and their brackets
+    and bits counted, but not ranked: the result is the one of ranking
+    them all.  For h on h-perp the cap is the generic rank plus 2c (Knop;
+    Vinberg), so it is reached exactly when the complexity c is 0; it was
+    reached on every stabilizer-on-itself pass tested.  A cap that is not
+    reached only means that every trial is ranked.  J is skipped on a
+    single trial and when trial 1 already ranks at dim V or at the number
+    of rows.  After a zero kernel nothing more is computed.
 
     At the best sample the precondition is checked exactly: each full
     bracket v must equal sum_k (v[p_k] / s_k[p_k]) s_k over the sample rows
@@ -359,18 +403,26 @@ def rank_trials(L: LieAlgebra, rows: list[list[int]],
     ``RuntimeError``.  Every trial draws its sample, so the random stream
     advances as if each were ranked."""
     pivots = [next(j for j, a in enumerate(s) if a) for s in sample_rows]
-    best_rank, bits = -1, 0
+    trials = max(1, trials)
+    best_rank, bits, cap = -1, 0, None
     best: Optional[tuple[list[int], list[list[int]], list[list[int]]]] = None
-    for _ in range(max(1, trials)):
+    for t in range(trials):
         x = random_combination(rng, sample_rows, bound, L.dim)
         if best_rank == len(rows):
             continue  # a zero kernel cannot be beaten
         brackets = [L.bracket(r, x) for r in rows]
         restricted = [[v[q] for q in pivots] for v in brackets]
         bits = max(bits, hadamard_bits(restricted))
+        if best_rank == cap:
+            continue  # certified generic: no trial ranks above the cap
         rank = rank_mod_p(restricted, p)
         if rank > best_rank:
             best_rank, best = rank, (x, brackets, restricted)
+        if t == 0 and trials > 1:
+            # brackets lie in V, so dim V caps the rank for free
+            cap = len(pivots)
+            if best_rank < min(cap, len(rows)):
+                cap -= L.invariant_jacobian_rank(x, sample_rows, p)
     x, brackets, restricted = best
     _check_in_span(L.dim, brackets, sample_rows, pivots)
     return RankedTrials(x, restricted, best_rank, modular_term(bits))

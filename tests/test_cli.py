@@ -370,6 +370,28 @@ def test_zero_coefficient_bound_is_an_argument_error(tmp_path, command):
 
 
 @pytest.mark.parametrize("argv", [
+    ["slice", "--algebra", "A2"],
+    ["verify-tables", "--max-rank", "3"],
+], ids=["small-report", "large-report"])
+def test_closed_stdout_is_an_error_without_traceback(argv):
+    # the reader of stdout is gone before the report is written: a small
+    # report fails at main's flush, a large one inside print
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "aregularity.cli", *argv],
+                              env=env, stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_ERROR
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
     ["slice", "--algebra", "A2", "--samples", "0"],
     ["slice", "--algebra", "A2", "--samples", "-5"],
     ["verify-tables", "--max-rank", "0"],

@@ -9,13 +9,15 @@ import pytest
 from aregularity.catalog import default_catalog
 from aregularity.criteria import DecisionConfig, knop_invariants, satake_route
 from aregularity.exact_linalg import (
-    Subspace, clear_denominators, is_prime, kernel, left_kernel, lift)
+    Subspace, bareiss_echelon, clear_denominators, is_prime, kernel, left_kernel, lift,
+    rank_mod_p)
 from aregularity.lie_core import SimpleFactorDescriptor, _factor_data, build_algebra
 from aregularity import constructors, exact_linalg, subalgebras
 from aregularity.subalgebras import (
     BracketClosureError,
     Embedding,
     GenericityError,
+    InvolutionError,
     cartan_subspace_stabilizer,
     decompose_reductive,
     embed,
@@ -432,6 +434,123 @@ class TestGenericPoint:
             generic_point(L, unit_rows, [e_root], random.Random(0), 4, 1 << 10)
 
 
+def reference_jacobian_rank(L, x, rows):
+    """rank over Q of [tr(X_f^k S_j,f)] for every k = 1, ..., N_f, from dense
+    Fraction matrices."""
+    X = L.dense_matrix_of(x)
+    S = [L.dense_matrix_of(r) for r in rows]
+    jac = []
+    for desc, off in zip(L.factors, L.factor_matrix_offsets):
+        idx = range(off, off + desc.matrix_size)
+        block = [[X[a][b] for b in idx] for a in idx]
+        power = block
+        for _ in range(desc.matrix_size):
+            jac.append([sum(power[a - off][b - off] * s[b][a] for a in idx for b in idx)
+                        for s in S])
+            power = [[sum(power[a][c] * block[c][b] for c in range(len(idx)))
+                      for b in range(len(idx))] for a in range(len(idx))]
+    return len(bareiss_echelon([clear_denominators(r) for r in jac])[1])
+
+
+def trial_caps(L, rows, sample_rows, rng, p, trials=8, bound=1 << 20):
+    """(the cap at the first of ``trials`` samples, the best rank mod p of
+    the trials' restricted brackets), every trial ranked."""
+    pivots = [next(j for j, a in enumerate(s) if a) for s in sample_rows]
+    xs = [random_combination(rng, sample_rows, bound, L.dim) for _ in range(trials)]
+    ranks = [rank_mod_p([[v[q] for q in pivots] for v in (L.bracket(r, x) for r in rows)],
+                        p) for x in xs]
+    return len(sample_rows) - L.invariant_jacobian_rank(xs[0], sample_rows, p), max(ranks)
+
+
+def stabilizer_passes(e):
+    """(rows, sample rows) of each pass of ``generic_stabilizer`` at the
+    default config: h on h-perp, then a non-abelian stabilizer on itself."""
+    rep = generic_stabilizer(e)
+    yield e.h_int_rows(), int_rows(perp(e))
+    if not rep.is_abelian:
+        stab = int_rows(rep.stab_basis)
+        yield stab, stab
+
+
+class TestInvariantJacobianCap:
+    """The cap dim V - rank_p J(x) that stops ``rank_trials`` after its first
+    trial: J's rank is exact, the cap never falls below a trial's rank, and
+    it is reached on pairs of complexity 0 and on every stabilizer-on-itself
+    pass."""
+
+    def test_rank_matches_the_dense_reference(self):
+        p, rng = trial_prime(0), random.Random(7)
+        checked = 0
+        for row, params, e in constructible_instances(3):
+            L = e.ambient
+            for rows, sample_rows in stabilizer_passes(e):
+                x = random_combination(rng, sample_rows, 1 << 20, L.dim)
+                got = L.invariant_jacobian_rank(x, sample_rows, p)
+                assert got == reference_jacobian_rank(L, x, sample_rows), \
+                    (row.row_id, params)
+                checked += 1
+        assert checked > 38
+
+    def test_rank_on_the_whole_algebra_is_its_rank(self):
+        # on V = g the invariants' differentials are independent at a
+        # regular point: rank sl2 + sp4 = 1 + 2; all vanish at 0
+        L, p = build_algebra([("A", 1), ("C", 2)]), trial_prime(0)
+        units = [[int(i == j) for j in range(L.dim)] for i in range(L.dim)]
+        x = random_combination(random.Random(1), units, 1 << 20, L.dim)
+        assert L.invariant_jacobian_rank(x, units, p) == 3
+        assert reference_jacobian_rank(L, x, units) == 3
+        assert L.invariant_jacobian_rank([0] * L.dim, units, p) == 0
+
+    def test_cap_is_sound_and_reached_without_complexity(self):
+        p, rng = trial_prime(0), random.Random(11)
+        reached = second_passes = 0
+        for row, params, e in constructible_instances(4):
+            c = knop_invariants(e)["c"]
+            for n, (rows, sample_rows) in enumerate(stabilizer_passes(e)):
+                cap, best = trial_caps(e.ambient, rows, sample_rows, rng, p)
+                assert cap >= best, (row.row_id, params, n)
+                if c == 0 or n == 1:
+                    assert cap == best, (row.row_id, params, n)
+                    reached += 1
+                second_passes += n
+        assert reached > 60 and second_passes > 5
+
+    def test_identical_factors_sp2_cubed_over_diagonal_sp2(self):
+        # T4_spherical:11 at l = m = n = 1: each factor's tr X^2 is its own
+        # invariant, so J has rank 3 on the 6-dimensional h-perp
+        e = embed(build_algebra([("C", 1)] * 3), "sp_diag3", {"l": 1, "m": 1, "n": 1})
+        L, p = e.ambient, trial_prime(0)
+        assert e.dim_h == 3
+        rows, sample_rows = next(stabilizer_passes(e))
+        x = random_combination(random.Random(2), sample_rows, 1 << 20, L.dim)
+        assert L.invariant_jacobian_rank(x, sample_rows, p) == 3
+        assert trial_caps(L, rows, sample_rows, random.Random(2), p) == (3, 3)
+
+    @pytest.mark.parametrize("p, q, calls", [(3, 7, 2), (5, 5, 1)])
+    def test_rank_9_passes_rank_one_trial_each(self, monkeypatch, p, q, calls):
+        # sl10 > s(gl3 + gl7) has two passes, s(gl5 + gl5) one; each is
+        # certified at its first trial
+        real, counted = subalgebras.rank_mod_p, []
+        monkeypatch.setattr(subalgebras, "rank_mod_p",
+                            lambda rows, prime: counted.append(1) or real(rows, prime))
+        e = embed(sl(10), "block_sgl", {"p": p, "q": q})
+        rep = generic_stabilizer(e)
+        assert len(counted) == calls
+        assert (rep.dim, rep.is_abelian) == ((18, False) if p == 3 else (4, True))
+
+    def test_full_rank_kernel_is_not_eliminated(self, monkeypatch):
+        # so(3) in sl(3) has a zero generic stabilizer: the modular rank is
+        # full, so the kernel is zero without an elimination
+        want = generic_stabilizer(embed(sl(3), "so_in_sl", {"n": 3}))
+
+        def no_kernel(rows):
+            raise AssertionError("left_kernel ran at full rank")
+
+        monkeypatch.setattr(subalgebras, "left_kernel", no_kernel)
+        got = generic_stabilizer(embed(sl(3), "so_in_sl", {"n": 3}))
+        assert got == want and got.dim == 0
+
+
 class TestDecompose:
     def test_gl2_style(self):
         e = embed(sl(4), "block_sgl", {"p": 2, "q": 2})
@@ -495,6 +614,54 @@ def symmetric_pairs(max_rank):
 @lru_cache(maxsize=None)
 def symmetric_pairs_4():
     return tuple(symmetric_pairs(4))
+
+
+def involution_outcome(e, cols):
+    """The ``InvolutionError`` message of h with the involution ``cols``, or
+    None when it is accepted."""
+    try:
+        Embedding(e.ambient, e.h_basis, theta_cols=cols)
+    except InvolutionError as exc:
+        return str(exc)
+    return None
+
+
+class TestInvolutionCheck:
+    def test_signed_permutation_path_agrees_with_the_general_one(self, monkeypatch):
+        # each signed-permutation theta, and copies with the columns k and
+        # pi(k) negated (still involutions), get the same verdict from the
+        # structure-constant path and from the general combine/bracket path
+        cases = []
+        for e in symmetric_pairs_4():
+            perm = subalgebras._signed_permutation(e.theta_cols)
+            if perm is None:
+                continue
+            n = e.ambient.dim
+            variants = [e.theta_cols]
+            for k in sorted({0, n // 2, n - 1}):
+                flip = {k, perm[k][0]}
+                variants.append([[-c for c in col] if j in flip else col
+                                 for j, col in enumerate(e.theta_cols)])
+            cases.append((e, variants))
+        fast = [[involution_outcome(e, v) for v in vs] for e, vs in cases]
+        monkeypatch.setattr(subalgebras, "_signed_permutation", lambda cols: None)
+        general = [[involution_outcome(e, v) for v in vs] for e, vs in cases]
+        assert fast == general
+        assert len(cases) >= 30 and all(out[0] is None for out in fast)
+        assert sum("automorphism law" in (m or "") for out in fast for m in out) > 30
+
+    def test_signed_permutation_breaking_one_pair_names_it(self, monkeypatch):
+        # sl(2) > torus with theta = (H, -E, F): theta^2 = 1 and the law holds
+        # on [H, E] and [H, F], but theta[E, F] = H while [-E, F] = -H
+        L = sl(2)
+        torus = Subspace.span([[1, 0, 0]], 3)
+        cols = [[1, 0, 0], [0, -1, 0], [0, 0, 1]]
+        assert subalgebras._signed_permutation(cols) == [(0, 1), (1, -1), (2, 1)]
+        with pytest.raises(InvolutionError, match=r"automorphism law on pair \(1, 2\)"):
+            Embedding(L, torus, theta_cols=cols)
+        monkeypatch.setattr(subalgebras, "_signed_permutation", lambda cols: None)
+        with pytest.raises(InvolutionError, match=r"automorphism law on pair \(1, 2\)"):
+            Embedding(L, torus, theta_cols=cols)
 
 
 class TestSymmetric:
