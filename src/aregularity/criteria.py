@@ -219,9 +219,9 @@ def satake_route(e: Embedding, cfg: DecisionConfig = DecisionConfig()) -> Verdic
         e, seed=cfg.seed + 17, trials=cfg.trials, coeff_bound=cfg.coeff_bound)
     abelian = is_abelian(L, [clear_denominators(v) for v in zc.basis])
     rep = GenericStabilizerReport(
-        stab_basis=zc, dim=zc.dim, is_abelian=abelian,
-        reductive_rank=L.rank - c.dim, trials=cfg.trials,
-        coefficient_bound=cfg.coeff_bound, failure_bound=Fraction(0))
+        dim=zc.dim, is_abelian=abelian, reductive_rank=L.rank - c.dim,
+        trials=cfg.trials, coefficient_bound=cfg.coeff_bound,
+        failure_bound=Fraction(0), build_basis=lambda: zc)
     inv = _invariants(e, cfg)
     return Verdict(abelian, AbelianStabilizer(rep), ("satake",), inv)
 

@@ -19,9 +19,10 @@ pivot never touches the rows of another block.  ``bareiss_echelon`` does
 not split: its callers rank dense matrices.  ``lift`` turns a canonical
 kernel basis over a subspace's rows into the canonical basis of its image
 with no elimination at all, by dividing each combination by its leading
-entry.  ``rank_mod_p`` ranks over GF(p) instead, for callers that account
-for the chance that p divides the minor carrying the rank
-(``hadamard_bits`` bounds its size and ``is_prime`` certifies p).
+entry.  ``rank_mod_p`` ranks over GF(p) instead, and ``left_kernel_mod_p``
+takes a left kernel there, for callers that account for the chance that p
+divides the minor carrying the rank (``hadamard_bits`` bounds its size and
+``is_prime`` certifies p).
 
 ``Subspace`` keeps its basis in reduced row-echelon form with pivot columns
 in increasing order, so two subspaces are equal iff their stored
@@ -143,6 +144,46 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
                 m[i][c:] = [(piv * a - f * b) % p for a, b in zip(m[i][c:], row_r)]
         r += 1
     return r
+
+
+def left_kernel_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
+    """Basis of {lam : sum(lam_i * rows[i]) = 0 mod p} over GF(p), p prime,
+    as vectors of residues; its size is len(rows) - ``rank_mod_p(rows, p)``.
+
+    One Gauss-Jordan elimination of the transposed rows mod p, each pivot
+    scaled to 1: the vector of each free column f is 1 at f, 0 at the other
+    free columns and minus column f of the reduced rows at the pivot
+    columns."""
+    n = len(rows)
+    m = [[a % p for a in col] for col in zip(*rows)]
+    pivots: list[int] = []
+    for c in range(n):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], -1, p)
+        row_r = m[r] = [a * inv % p for a in m[r]]
+        for i, row_i in enumerate(m):
+            f = row_i[c]
+            if f and i != r:
+                # the rows from r on are 0 left of c
+                row_i[c:] = [(a - f * b) % p for a, b in zip(row_i[c:], row_r[c:])]
+        pivots.append(c)
+    pivot_set = set(pivots)
+    out = []
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        v = [0] * n
+        v[f] = 1
+        for row, c in zip(m, pivots):
+            v[c] = -row[f] % p
+        out.append(v)
+    return out
 
 
 def hadamard_bits(rows: Sequence[Sequence[int]]) -> int:

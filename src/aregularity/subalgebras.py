@@ -34,20 +34,23 @@ glued embeddings appearing in the classification tables:
 Genericity is randomized with explicit Schwartz-Zippel failure bounds.
 Every generic stabilizer goes through one trial loop, ``rank_trials``: the
 minimum kernel dimension over the trials, read off ranks modulo a prime p on
-the pivot columns of the sampled subspace, with the exact checks (brackets)
-and, where the kernel itself is used, the exact kernel at the best sample
-only.  Ranking stops at the first trial whose rank reaches dim V minus the
-rank of the invariants' Jacobian at the first sample, a cap no trial can
-pass (Knop's moment-map image); later trials are still drawn and counted in
-the failure bound, so reports do not depend on the stop.  p is drawn
-uniformly from the primes in [2^60, 2^61) (``trial_prime``), once per
-stabilizer call and from a stream of its own, so samples, bases and
-witnesses do not depend on it.  A rank mod p is never above the rank over
-Q, and falls below it only when p divides the minor that carries it; each
-pass ranked mod p adds that chance (``modular_term``, bounded over the
-minors of every trial the pass drew) to the failure bound.  Only the claim
-"this sampled dimension is the generic minimum" carries the quantified
-failure probability reported in a GenericStabilizerReport.  The
+the pivot columns of the sampled subspace, with the exact check (brackets)
+at the best sample.  Ranking stops at the first trial whose rank reaches dim
+V minus the rank of the invariants' Jacobian at the first sample, a cap no
+trial can pass (Knop's moment-map image).  Such a pass is certified: its
+rank is exactly the generic one, so it adds no failure term, and later
+trials are drawn but not bracketed.  p is drawn uniformly from the primes in
+[2^60, 2^61) (``trial_prime``), once per stabilizer call and from a stream
+of its own, so samples, bases and witnesses do not depend on it.  A rank mod
+p is never above the rank over Q, and falls below it only when p divides the
+minor that carries it; each uncertified pass adds that chance
+(``modular_term``, bounded over the minors of every trial the pass
+bracketed) to the failure bound.  After a certified first pass,
+``generic_stabilizer`` needs no exact kernel: it tests abelianness modulo p,
+reads the reductive rank off the Jacobian, and builds the exact stabilizer
+basis only when a caller reads it.  Only the claims "this sampled dimension
+is the generic minimum" and "this stabilizer is abelian" carry the
+quantified failure probability reported in a GenericStabilizerReport.  The
 symmetric-pair route needs no such claim: ``cartan_subspace_stabilizer``
 certifies one sample of q exactly (Kostant-Rallis), so its report's bound
 is 0.
@@ -56,11 +59,11 @@ is 0.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from math import lcm
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .exact_linalg import (
     Subspace,
@@ -71,6 +74,7 @@ from .exact_linalg import (
     is_prime,
     kernel,
     left_kernel,
+    left_kernel_mod_p,
     lift,
     rank_mod_p,
     solve_linear,
@@ -107,33 +111,49 @@ class IdealDecomposition:
 
 @dataclass(frozen=True)
 class GenericStabilizerReport:
-    """Sampled generic stabilizer of the h-action on the orthogonal
+    """Sampled generic stabilizer h* of the h-action on the orthogonal
     complement of h.
 
     One sampling rule (``rank_trials``): the dimension is the minimum
-    over ``trials`` samples, and the basis and abelianness are exact at the
-    best sample.  A non-abelian stabilizer's reductive rank follows the
-    same rule inside the stabilizer.  The Satake route instead reports
-    z_h(c) for a certified Cartan subspace c, with the exact rank
-    rank g - dim c (``cartan_subspace_stabilizer``).
+    over ``trials`` samples, at the best sample x.  When that pass is
+    certified, the dimension is exact, abelianness is tested modulo the
+    pass's prime, and the reductive rank is rank g - rank_p J(x_1), read off
+    the invariants' Jacobian at the first sample (for an abelian h* that is
+    checked to equal dim h*).  Otherwise abelianness is exact at x, and a
+    non-abelian stabilizer's reductive rank follows the sampling rule inside
+    the stabilizer.  The Satake route instead reports z_h(c) for a certified
+    Cartan subspace c, with the exact rank rank g - dim c
+    (``cartan_subspace_stabilizer``).
 
-    ``failure_bound`` bounds the probability that the dimension or the
-    rank exceeds the generic value.  It is 2 * ``sz_bound`` (per-trial
-    failure is at most dim(g) / (2 * coefficient_bound + 1)) plus, for each
-    pass whose trials were ranked modulo the prime p, that pass's
-    ``modular_term``: ceil(bits / 60) / 2^54, with bits the largest log2
-    Hadamard bound of the trial matrices it drew, including those it did
-    not rank once a trial was certified generic (``rank_trials``).  The
-    satake route's report has nothing sampled to bound, so its
-    ``failure_bound`` is 0."""
+    ``stab_basis`` is the exact basis of h* at x, the ``lift`` of the exact
+    left kernel there.  ``build_basis`` computes it on the first read, which
+    checks it against ``dim`` and ``is_abelian`` (``RuntimeError`` on a
+    mismatch), so a caller that reads only the numbers never pays for it.
 
-    stab_basis: Subspace
+    ``failure_bound`` bounds the probability that a field is wrong.  A
+    certified pass adds nothing for its rank.  An abelian verdict found
+    modulo p adds ``modular_term(bits)``, where 2^bits bounds every nonzero
+    bracket coordinate of two Cramer kernel vectors: bits = 2 * (the
+    pass's ``hadamard_bits``, which bound the minors of x's bracket matrix,
+    + log2 of the largest column sum of |h rows|) + log2 of the largest sum
+    over i, j of |c_ij^k|.  An uncertified first pass adds 2 * ``sz_bound``
+    (per-trial failure is at most dim(g) / (2 * coefficient_bound + 1), once
+    per pass) plus, for each uncertified pass, its ``failure_term``:
+    ceil(bits / 60) / 2^54, with bits the largest log2 Hadamard bound of the
+    trial matrices it bracketed.  The satake route's report has nothing
+    sampled to bound, so its ``failure_bound`` is 0."""
+
     dim: int
     is_abelian: bool
     reductive_rank: int
     trials: int
     coefficient_bound: int
     failure_bound: Fraction
+    build_basis: Callable[[], Subspace] = field(repr=False, compare=False)
+
+    @cached_property
+    def stab_basis(self) -> Subspace:
+        return self.build_basis()
 
 
 class Embedding:
@@ -156,9 +176,11 @@ class Embedding:
         self.constructor = constructor
         self.theta_cols = theta_cols
         self._cache: dict = {}
-        self._validate_closure()
+        perm = None if theta_cols is None else _signed_permutation(theta_cols)
+        if perm is None:
+            self._validate_closure()
         if theta_cols is not None:
-            self._validate_involution()
+            self._validate_involution(perm)
 
     # -- basic data ------------------------------------------------------------
 
@@ -204,7 +226,20 @@ class Embedding:
                         out[i] += xj * c
         return out
 
-    def _validate_involution(self) -> None:
+    def _validate_involution(self, perm: Optional[list[tuple[int, int]]]) -> None:
+        """Raise ``InvolutionError`` unless theta is an involutive
+        automorphism whose fixed algebra is h; ``perm`` is
+        ``_signed_permutation`` of its columns.
+
+        For a signed permutation the check is complete and implies that h
+        is closed, which ``Embedding`` then does not check: a fixed algebra
+        of an automorphism is a subalgebra, and the law is checked on every
+        pair with a nonzero bracket, which covers the rest, since if
+        [x_i, x_j] = 0 but [theta x_i, theta x_j] != 0, the law on that
+        second pair (checked, its bracket being nonzero) and theta^2 = 1
+        give theta [theta x_i, theta x_j] = +-[x_i, x_j] = 0, against theta
+        being invertible.  For any other theta, pairs with a zero bracket
+        are not checked, so ``Embedding`` checks closure too."""
         L = self.ambient
         cols = self.theta_cols
         if cols is None:
@@ -215,10 +250,10 @@ class Embedding:
             sq = self.apply_theta(cols[j])
             if any(sq[i] != (1 if i == j else 0) for i in range(L.dim)):
                 raise InvolutionError("involution does not square to the identity")
-        # automorphism property on all basis pairs; a signed permutation
-        # theta(e_k) = s_k e_pi(k) is checked on the structure constants,
-        # theta[e_i, e_j] = sum_k c_k s_k e_pi(k) against s_i s_j [e_pi(i), e_pi(j)]
-        perm = _signed_permutation(cols)
+        # automorphism property on the basis pairs with a nonzero bracket;
+        # a signed permutation theta(e_k) = s_k e_pi(k) is checked on the
+        # structure constants, theta[e_i, e_j] = sum_k c_k s_k e_pi(k)
+        # against s_i s_j [e_pi(i), e_pi(j)]
         for i in range(L.dim):
             for j, terms in L.bracket_rows[i].items():
                 if j < i:
@@ -331,13 +366,24 @@ def modular_term(bits: int) -> Fraction:
 @dataclass(frozen=True)
 class RankedTrials:
     """The best of the trials of one ``rank_trials`` pass: its sample x, its
-    restricted bracket rows, their rank mod p, and the modular failure term
-    of the pass."""
+    restricted bracket rows and their rank mod p; ``bits``, the largest
+    ``hadamard_bits`` of the trials the pass bracketed; whether the pass is
+    ``certified`` (its rank is exactly the generic one); and rank_p J(x_1),
+    the rank of the invariants' Jacobian at the first sample, when the pass
+    needed it."""
 
     x: list[int]
     restricted: list[list[int]]
     rank: int
-    modular_term: Fraction
+    bits: int
+    certified: bool
+    jacobian_rank: Optional[int]
+
+    @property
+    def failure_term(self) -> Fraction:
+        """The pass's chance of a rank mod p below the rank over Q: 0 when
+        certified, else ``modular_term(bits)``."""
+        return Fraction(0) if self.certified else modular_term(self.bits)
 
     def kernel(self) -> list[list[Fraction]]:
         """The exact left kernel of the restricted rows at x.  It is never
@@ -353,6 +399,17 @@ class RankedTrials:
             raise RuntimeError(
                 f"kernel dimension {len(lam)} at the best sample disagrees with "
                 f"its rank {self.rank} over {len(self.restricted)} rows; "
+                "internal error")
+        return lam
+
+    def kernel_mod_p(self, p: int) -> list[list[int]]:
+        """The left kernel of the restricted rows at x modulo the pass's
+        prime p, of exactly rows - rank vectors (``RuntimeError`` otherwise)."""
+        lam = left_kernel_mod_p(self.restricted, p)
+        if len(lam) != len(self.restricted) - self.rank:
+            raise RuntimeError(
+                f"kernel dimension {len(lam)} mod p at the best sample disagrees "
+                f"with its rank {self.rank} over {len(self.restricted)} rows; "
                 "internal error")
         return lam
 
@@ -377,55 +434,53 @@ def rank_trials(L: LieAlgebra, rows: list[list[int]],
     the pass picks the first trial whose rank is the generic one unless p
     divides a nonzero maximal minor of the first trial that reaches it.  p
     is drawn independently of the samples and that minor is at most
-    2^bits, bits the largest ``hadamard_bits`` over the drawn trials, so
+    2^bits, bits the largest ``hadamard_bits`` over the bracketed trials, so
     this fails with probability at most ``modular_term(bits)``.
 
-    Ranking stops once a trial is certified generic.  Invariants of g are
-    constant on orbits, so every bracket [rows_i, x] lies in the kernel of
-    the invariants' Jacobian J(x) on V (``invariant_jacobian_rank``), and
-    the generic rank is at most dim V - rank J(x_g) <= dim V - rank_p J(x_1)
-    = cap, with x_g a point generic for both ranks and x_1 the first
-    trial.  A trial ranked at the cap has the generic rank and no later
-    trial can rank above it, so later trials are drawn, and their brackets
-    and bits counted, but not ranked: the result is the one of ranking
-    them all.  For h on h-perp the cap is the generic rank plus 2c (Knop;
-    Vinberg), so it is reached exactly when the complexity c is 0; it was
-    reached on every stabilizer-on-itself pass tested.  A cap that is not
-    reached only means that every trial is ranked.  J is skipped on a
-    single trial and when trial 1 already ranks at dim V or at the number
-    of rows.  After a zero kernel nothing more is computed.
+    A trial can certify the pass.  Invariants of g are constant on orbits,
+    so every bracket [rows_i, x] lies in the kernel of the invariants'
+    Jacobian J(x) on V (``invariant_jacobian_rank``), and the generic rank
+    is at most dim V - rank J(x_g) <= dim V - rank_p J(x_1) with x_g a point
+    generic for both ranks and x_1 the first trial; it is also at most the
+    number of rows.  The smaller of the two is the cap.  A trial ranked mod
+    p at the cap has the generic rank over Q too, since no rank over Q is
+    above the generic one or below the one mod p: that pass is certified,
+    with no failure term, and later trials are drawn, so the random stream
+    advances as if each were ranked, but not bracketed.  For h on h-perp the
+    Jacobian cap is the generic rank plus 2c (Knop; Vinberg), so it is
+    reached exactly when the complexity c is 0, and a certified pass then
+    has rank_p J(x_1) = rk, the rank of G/H; it was reached on every
+    stabilizer-on-itself pass tested.  J is skipped on a single trial and
+    when trial 1 already ranks at dim V (then J(x_1) = 0 on V, as the
+    brackets span V) or at the number of rows.
 
     At the best sample the precondition is checked exactly: each full
     bracket v must equal sum_k (v[p_k] / s_k[p_k]) s_k over the sample rows
     s_k with pivots p_k.  That identity is linear in v, so it makes the
     restriction injective on the brackets' span, and ranks and kernels of
     the restricted rows are those of the full ones; a failure raises
-    ``RuntimeError``.  Every trial draws its sample, so the random stream
-    advances as if each were ranked."""
+    ``RuntimeError``."""
     pivots = [next(j for j, a in enumerate(s) if a) for s in sample_rows]
     trials = max(1, trials)
-    best_rank, bits, cap = -1, 0, None
+    best_rank, bits, cap, jacobian = -1, 0, len(rows), None
     best: Optional[tuple[list[int], list[list[int]], list[list[int]]]] = None
     for t in range(trials):
         x = random_combination(rng, sample_rows, bound, L.dim)
-        if best_rank == len(rows):
-            continue  # a zero kernel cannot be beaten
+        if best_rank == cap:
+            continue  # certified: no trial ranks above the cap
         brackets = [L.bracket(r, x) for r in rows]
         restricted = [[v[q] for q in pivots] for v in brackets]
         bits = max(bits, hadamard_bits(restricted))
-        if best_rank == cap:
-            continue  # certified generic: no trial ranks above the cap
         rank = rank_mod_p(restricted, p)
         if rank > best_rank:
             best_rank, best = rank, (x, brackets, restricted)
-        if t == 0 and trials > 1:
-            # brackets lie in V, so dim V caps the rank for free
-            cap = len(pivots)
-            if best_rank < min(cap, len(rows)):
-                cap -= L.invariant_jacobian_rank(x, sample_rows, p)
+        if t == 0 and trials > 1 and best_rank < cap:
+            jacobian = (0 if best_rank == len(pivots)
+                        else L.invariant_jacobian_rank(x, sample_rows, p))
+            cap = min(cap, len(pivots) - jacobian)
     x, brackets, restricted = best
     _check_in_span(L.dim, brackets, sample_rows, pivots)
-    return RankedTrials(x, restricted, best_rank, modular_term(bits))
+    return RankedTrials(x, restricted, best_rank, bits, best_rank == cap, jacobian)
 
 
 def _in_span(dim: int, vectors: list[list[int]],
@@ -453,10 +508,15 @@ def _check_in_span(dim: int, vectors: list[list[int]],
             "must be ad(rows)-stable; internal error")
 
 
-def is_abelian(L: LieAlgebra, rows: Sequence[Sequence]) -> bool:
-    """Exact check that the given vectors pairwise commute."""
-    return all(not any(L.bracket(rows[i], rows[j]))
-               for i in range(len(rows)) for j in range(i + 1, len(rows)))
+def is_abelian(L: LieAlgebra, rows: Sequence[Sequence], p: int = 0) -> bool:
+    """Whether the given vectors pairwise commute: exactly, or, for a prime
+    p, modulo p."""
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            v = L.bracket(rows[i], rows[j])
+            if any(a % p for a in v) if p else any(v):
+                return False
+    return True
 
 
 def _int_rows(s: Subspace) -> list[list[int]]:
@@ -512,18 +572,33 @@ def stabilizer(e: Embedding, x: Sequence) -> Subspace:
 
 def generic_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
                        coeff_bound: int = 1 << 20) -> GenericStabilizerReport:
-    """Stabilizer of a generic point of h-perp, with certified failure bound.
+    """Stabilizer h* of a generic point of h-perp, with certified failure
+    bound.
 
-    ``rank_trials`` ranks each trial's brackets modulo ``trial_prime(seed)``
-    on the pivot columns of h-perp ([h, h-perp] lies in h-perp), and the
-    stabilizer is the exact kernel at the first trial of maximal rank,
-    computed once.  Abelianness is checked exactly at that sample, and a
-    non-abelian stabilizer gets its reductive rank as the generic
-    centralizer dimension of the stabilizer in itself: a second ranked pass
-    over the trials on the same random stream and the same prime, ranked on
-    the stabilizer's own pivot columns, whose result is dim h* minus its
-    best rank mod p, with no kernel.  Each pass adds its ``modular_term`` to
-    the failure bound."""
+    ``rank_trials`` ranks each trial's brackets modulo p =
+    ``trial_prime(seed)`` on the pivot columns of h-perp ([h, h-perp] lies
+    in h-perp), and h* is the kernel at the first trial x of maximal rank.
+
+    When the pass is certified, dim h* is exact, c = 0 and rank_p J(x_1) is
+    rk, the rank of G/H, so no exact kernel is taken.  The kernel mod p,
+    lifted through h's rows, decides abelianness from its brackets mod p.
+    The integer kernel vectors reduce onto that kernel, as the ranks mod p
+    and over Q agree at x, so "not abelian" is exact; the reductive rank is
+    then rank g - rk (Knop), with no second pass.  "Abelian" is false only
+    when p divides a nonzero bracket coordinate of two Cramer kernel
+    vectors, which is at most 2^bits (``_abelian_bits`` of the pass's
+    ``bits``), so it adds ``modular_term(bits)``; its reductive rank dim h*
+    must equal rank g - rk, which a non-abelian h* breaks, and
+    ``GenericityError`` is raised otherwise.  The exact basis is built only
+    when ``stab_basis`` is read (``_checked_basis``).
+
+    An uncertified pass takes the exact kernel at x once.  Abelianness is
+    checked exactly there, and a non-abelian stabilizer gets its reductive
+    rank as the generic centralizer dimension of the stabilizer in itself: a
+    second ranked pass over the trials on the same random stream and the
+    same prime, ranked on the stabilizer's own pivot columns, whose result
+    is dim h* minus its best rank mod p, with no kernel.  The failure bound
+    is then 2 * ``sz_bound`` plus the ``failure_term`` of each pass."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     key = ("genstab", seed, trials, coeff_bound)
@@ -535,24 +610,67 @@ def generic_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
     p = trial_prime(seed)
     h_rows = e.h_int_rows()
     first = rank_trials(L, h_rows, _perp_int_rows(e), rng, trials, coeff_bound, p)
-    lam = first.kernel()
-    stab = lift(lam, h_rows, L.dim)
-    if stab.dim != len(lam):
-        raise RuntimeError("lifted stabilizer lost dimension; internal error")
-    stab_rows = _int_rows(stab)
-    abelian = is_abelian(L, stab_rows)
-    rank = stab.dim
-    failure = 2 * sz_bound(L.dim, coeff_bound, trials) + first.modular_term
-    if not abelian:
-        second = rank_trials(L, stab_rows, stab_rows, rng, trials, coeff_bound, p)
-        rank = stab.dim - second.rank
-        failure += second.modular_term
+    if first.certified:
+        dim = len(h_rows) - first.rank
+        abelian = dim < 2 or is_abelian(
+            L, [[a % p for a in combine(lam, h_rows, L.dim)]
+                for lam in first.kernel_mod_p(p)], p)
+        rank = dim
+        if dim:  # c = 0 makes rank_p J(x_1) the rank of G/H
+            rank = L.rank - first.jacobian_rank
+            if abelian and rank != dim:
+                raise GenericityError(
+                    f"abelian stabilizer of dimension {dim} against rank g - rank J "
+                    f"= {rank}; retry with a different seed")
+        failure = (modular_term(_abelian_bits(L, h_rows, first.bits))
+                   if abelian and dim > 1 else Fraction(0))
+        basis = partial(_checked_basis, L, h_rows, first, abelian)
+    else:
+        stab = lift(first.kernel(), h_rows, L.dim)
+        stab_rows = _int_rows(stab)
+        dim = rank = stab.dim
+        abelian = is_abelian(L, stab_rows)
+        failure = 2 * sz_bound(L.dim, coeff_bound, trials) + first.failure_term
+        if not abelian:
+            second = rank_trials(L, stab_rows, stab_rows, rng, trials, coeff_bound, p)
+            rank = stab.dim - second.rank
+            failure += second.failure_term
+        basis = lambda: stab  # noqa: E731 - already built
     report = GenericStabilizerReport(
-        stab_basis=stab, dim=stab.dim, is_abelian=abelian,
-        reductive_rank=rank, trials=trials, coefficient_bound=coeff_bound,
-        failure_bound=failure)
+        dim=dim, is_abelian=abelian, reductive_rank=rank, trials=trials,
+        coefficient_bound=coeff_bound, failure_bound=failure, build_basis=basis)
     e._cache[key] = report
     return report
+
+
+def _abelian_bits(L: LieAlgebra, h_rows: list[list[int]], minor_bits: int) -> int:
+    """bits with 2^bits above every bracket coordinate of two Cramer left
+    kernel vectors of a bracket matrix whose minors are at most
+    2^minor_bits, lifted through ``h_rows``: a lifted coordinate k is at
+    most 2^minor_bits times sum_i |h_rows[i][k]|, and coordinate k of a
+    bracket at most the product of two such bounds times
+    sum_{i, j} |c_ij^k|."""
+    columns = max(map(sum, zip(*([abs(a) for a in r] for r in h_rows))))
+    structure = [0] * L.dim
+    for row in L.bracket_rows:
+        for terms in row.values():
+            for k, c in terms:
+                structure[k] += abs(c)
+    return 2 * (minor_bits + columns.bit_length()) + max(structure).bit_length()
+
+
+def _checked_basis(L: LieAlgebra, h_rows: list[list[int]], first: RankedTrials,
+                   abelian: bool) -> Subspace:
+    """The exact stabilizer at a certified pass's sample, ``lift`` of the
+    exact left kernel there, checked against the dimension and the
+    abelianness found modulo p (``RuntimeError`` on a mismatch)."""
+    stab = lift(first.kernel(), h_rows, L.dim)
+    if (stab.dim != len(h_rows) - first.rank
+            or is_abelian(L, _int_rows(stab)) != abelian):
+        raise RuntimeError(
+            "the exact stabilizer disagrees with the dimension or abelianness "
+            "found modulo p; internal error")
+    return stab
 
 
 # -- symmetric-pair machinery ---------------------------------------------------

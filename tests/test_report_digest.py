@@ -3,7 +3,9 @@ catalog sweep at ambient rank <= 3, and on two rank-9 pairs whose stabilizer
 rows carry entries of hundreds of bits, must keep their pinned digests.
 
 A change that alters these reports on purpose updates the pinned values and
-says so in CHANGES.md."""
+says so in CHANGES.md.  The digests without the stabilizer's
+``failure_bound`` keep the values that field had before it last moved, so
+they show that nothing else moved with it."""
 
 import hashlib
 import importlib.util
@@ -19,18 +21,29 @@ from aregularity.lie_core import build_algebra
 from aregularity.subalgebras import embed
 
 ROOT = Path(__file__).resolve().parents[1]
-PINNED = "b9af4f61e55fe572cf9cceb3f7db9263799e61abf67d4aa51d717e904fae7d5f"
+PINNED = "6629a50adc17c653ef92f74cd14c6e2e0ec53bc0afe2987ac4778f9ee86126e6"
+PINNED_WITHOUT_FAILURE_BOUND = \
+    "c2f099f95cf29c268cf976d6abb653944ded1eb3987896d7cd1b7ede6b1890f7"
 
 
-def test_report_digest_max_rank_3():
+def _digest_line(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "report_digest.py"), "--max-rank", "3"],
+        [sys.executable, str(ROOT / "tools" / "report_digest.py"), *args],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.splitlines()[-1] == f"sha256 {PINNED} over 38 instances"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_report_digest_max_rank_3():
+    assert _digest_line("--max-rank", "3") == f"sha256 {PINNED} over 38 instances"
+
+
+def test_report_digest_max_rank_3_without_failure_bound():
+    assert _digest_line("--max-rank", "3", "--drop-field", "failure_bound") == \
+        f"sha256 {PINNED_WITHOUT_FAILURE_BOUND} over 38 instances"
 
 
 def _report_digest():
@@ -41,16 +54,21 @@ def _report_digest():
     return module
 
 
-@pytest.mark.parametrize("p, q, a_regular, pinned", [
-    (3, 7, False, "2914cbf080b65f345e77329aae1367087facc8c7001fbbd0420542daedec4a43"),
-    (5, 5, True, "7c78699ad1730f3fda3e975352ee5a8042fe2cb9b6320e99919f4070f4e5b184"),
+@pytest.mark.parametrize("p, q, a_regular, pinned, pinned_without_failure_bound", [
+    (3, 7, False, "d3b2163f5974963219220b0bf01338353f34c04f60486c38ef495009f05596e6",
+     "c18670ecb4a95a74914122d9c221e90b9ad703787d93ef3764e79b69d61b198e"),
+    (5, 5, True, "ad30117155c96b2479cb94857dc12e734a4ea57b4542a48d7f9093898ca1c978",
+     "cd6eded410b24ba6b6c73ca7af9b7584c8f676e0f1e718b284ad0d46f31e035f"),
 ])
-def test_rank_9_block_levi_lines(p, q, a_regular, pinned):
+def test_rank_9_block_levi_lines(p, q, a_regular, pinned, pinned_without_failure_bound):
     # sl10 > s(gl_p + gl_q) at the default config: the NO pair's lifted
     # stabilizer has 18 rows over 99 coordinates
     params = {"p": p, "q": q}
+    header = {"embedding": "block_sgl", "params": params}
     e = embed(build_algebra([("A", 9)]), "block_sgl", params)
-    line = _report_digest().report_line(
-        {"embedding": "block_sgl", "params": params}, e, DecisionConfig())
+    tool = _report_digest()
+    line = tool.report_line(header, e, DecisionConfig())
     assert f'"a_regular":{str(a_regular).lower()}' in line
     assert hashlib.sha256(line.encode()).hexdigest() == pinned
+    line = tool.report_line(header, e, DecisionConfig(), ("failure_bound",))
+    assert hashlib.sha256(line.encode()).hexdigest() == pinned_without_failure_bound

@@ -1,5 +1,8 @@
 """Embedding constructors, orthogonal complements, stabilizers."""
 
+import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -7,7 +10,8 @@ from functools import lru_cache
 import pytest
 
 from aregularity.catalog import default_catalog
-from aregularity.criteria import DecisionConfig, knop_invariants, satake_route
+from aregularity.cli import _verdict_block
+from aregularity.criteria import DecisionConfig, decide, knop_invariants, satake_route
 from aregularity.exact_linalg import (
     Subspace, bareiss_echelon, clear_denominators, is_prime, kernel, left_kernel, lift,
     rank_mod_p)
@@ -165,6 +169,28 @@ class TestConstructors:
                 [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
                 [[0, 0, 0], [1, 0, 0], [0, 0, 0]],
             ]})
+
+    def test_custom_non_closed_h_with_a_signed_permutation_involution(self):
+        # x -> -x^T permutes the basis up to sign, so its involution check is
+        # complete and the closure check is skipped: h = span(E01, E10) is
+        # not closed and is not Fix theta either, which the involution
+        # check reports
+        L = sl(3)
+        e01, e10 = [[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
+        assert subalgebras._signed_permutation(
+            embed(L, "so_in_sl", {"n": 3}).theta_cols) is not None
+        with pytest.raises(InvolutionError, match="fixed algebra"):
+            embed(L, "custom", {"involution": {"kind": "neg_transpose"},
+                                "matrices": [e01, e10]})
+
+    def test_closure_is_checked_unless_theta_is_a_signed_permutation(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(Embedding, "_validate_closure",
+                            lambda self: checked.append(self.constructor[0]))
+        embed(sl(4), "block_sgl", {"p": 2, "q": 2})  # signed permutation
+        embed(so(8), "so_block", {"p": 5, "q": 3})  # a theta of another kind
+        embed(sl(4), "block_one", {"k": 2})  # no theta
+        assert checked == ["so_block", "block_one"]
 
     def test_closure_with_non_unit_pivots(self):
         # h = span{diag(2, -1, -1), 2 e12 + e13}: both integer RREF rows have
@@ -342,17 +368,17 @@ def constructible_instances(max_rank):
 
 
 @pytest.fixture
-def pass_terms(monkeypatch):
-    """The modular term of every ``rank_trials`` pass run in the test."""
-    real, terms = subalgebras.rank_trials, []
+def ranked_passes(monkeypatch):
+    """The result of every ``rank_trials`` pass run in the test."""
+    real, passes = subalgebras.rank_trials, []
 
     def recording(*args):
         best = real(*args)
-        terms.append(best.modular_term)
+        passes.append(best)
         return best
 
     monkeypatch.setattr(subalgebras, "rank_trials", recording)
-    return terms
+    return passes
 
 
 class TestGenericPoint:
@@ -411,17 +437,40 @@ class TestGenericPoint:
         assert modular_term(61) == Fraction(2, 2 ** 54)
 
     @pytest.mark.parametrize("maker, passes", [
-        (lambda: embed(sl(5), "block_sgl", {"p": 2, "q": 3}), 1),
-        (lambda: embed(sp(6), "sp_sub_center", {"n": 3}), 2),
+        # c = 0 and 4 trials: a certified pass, whose abelian verdict mod p
+        # adds the modular term of the bracket bound
+        (lambda: (embed(sl(5), "block_sgl", {"p": 2, "q": 3}), 4), 1),
+        # a single trial below full rank is never certified: the exact
+        # kernel, then a second pass on the non-abelian stabilizer
+        (lambda: (embed(sp(6), "sp_sub_center", {"n": 3}), 1), 2),
     ])
-    def test_failure_bound_accounts_each_ranked_pass(self, pass_terms, maker,
+    def test_failure_bound_accounts_each_ranked_pass(self, ranked_passes, maker,
                                                      passes):
-        e = maker()
-        rep = generic_stabilizer(e, seed=3, trials=4, coeff_bound=1 << 10)
+        e, trials = maker()
+        rep = generic_stabilizer(e, seed=3, trials=trials, coeff_bound=1 << 10)
         assert rep.is_abelian == (passes == 1)
-        assert len(pass_terms) == passes and all(t > 0 for t in pass_terms)
-        assert rep.failure_bound == \
-            2 * sz_bound(e.ambient.dim, 1 << 10, 4) + sum(pass_terms)
+        assert len(ranked_passes) == passes
+        first = ranked_passes[0]
+        if passes == 1:
+            assert first.certified and first.failure_term == 0
+            bits = subalgebras._abelian_bits(e.ambient, e.h_int_rows(), first.bits)
+            assert first.bits == subalgebras.hadamard_bits(first.restricted)
+            assert rep.failure_bound == modular_term(bits) > 0
+        else:
+            assert not any(t.certified for t in ranked_passes)
+            assert all(t.failure_term == modular_term(t.bits) > 0 for t in ranked_passes)
+            assert rep.failure_bound == 2 * sz_bound(e.ambient.dim, 1 << 10, 1) + \
+                sum(t.failure_term for t in ranked_passes)
+
+    def test_certified_non_abelian_stabilizer_has_no_failure_term(self, ranked_passes):
+        # sp4 + C < sp6: certified at c = 0, not abelian (exact), and its
+        # reductive rank is read off the Jacobian without a second pass
+        e = embed(sp(6), "sp_sub_center", {"n": 3})
+        rep = generic_stabilizer(e, seed=3, trials=4, coeff_bound=1 << 10)
+        assert [t.certified for t in ranked_passes] == [True]
+        assert (rep.dim, rep.is_abelian, rep.reductive_rank) == (3, False, 1)
+        assert rep.reductive_rank == e.ambient.rank - ranked_passes[0].jacobian_rank
+        assert rep.failure_bound == 0
 
     @pytest.mark.parametrize("root", [(0, 1), (2, 0)])
     def test_unstable_sample_span_raises(self, root):
@@ -526,10 +575,11 @@ class TestInvariantJacobianCap:
         assert L.invariant_jacobian_rank(x, sample_rows, p) == 3
         assert trial_caps(L, rows, sample_rows, random.Random(2), p) == (3, 3)
 
-    @pytest.mark.parametrize("p, q, calls", [(3, 7, 2), (5, 5, 1)])
+    @pytest.mark.parametrize("p, q, calls", [(3, 7, 1), (5, 5, 1)])
     def test_rank_9_passes_rank_one_trial_each(self, monkeypatch, p, q, calls):
-        # sl10 > s(gl3 + gl7) has two passes, s(gl5 + gl5) one; each is
-        # certified at its first trial
+        # each pair's one pass is certified at its first trial; the
+        # non-abelian stabilizer of sl10 > s(gl3 + gl7) takes its reductive
+        # rank from the Jacobian, not from a second pass
         real, counted = subalgebras.rank_mod_p, []
         monkeypatch.setattr(subalgebras, "rank_mod_p",
                             lambda rows, prime: counted.append(1) or real(rows, prime))
@@ -549,6 +599,119 @@ class TestInvariantJacobianCap:
         monkeypatch.setattr(subalgebras, "left_kernel", no_kernel)
         got = generic_stabilizer(embed(sl(3), "so_in_sl", {"n": 3}))
         assert got == want and got.dim == 0
+
+
+def force_exact_path(monkeypatch):
+    """Report every ``rank_trials`` pass as uncertified, with the modular
+    term of its bits, as when the Jacobian cap is loose."""
+    real = subalgebras.rank_trials
+
+    def uncertified(*args):
+        best = real(*args)
+        return dataclasses.replace(best, certified=False)
+
+    monkeypatch.setattr(subalgebras, "rank_trials", uncertified)
+
+
+class TestCertifiedStabilizer:
+    """After a certified first pass, ``generic_stabilizer`` tests
+    abelianness modulo p, reads the reductive rank off the Jacobian, and
+    builds the exact basis only when it is read."""
+
+    def test_fast_path_matches_the_exact_path(self, monkeypatch, ranked_passes):
+        fast = []
+        for row, params, e in constructible_instances(4):
+            ranked_passes.clear()
+            fast.append((row.row_id, params, generic_stabilizer(e),
+                         ranked_passes[0].certified))
+        force_exact_path(monkeypatch)
+        paths = {"certified": 0, "certified, dim > 1": 0, "certified, not abelian": 0}
+        for (row_id, params, got, certified), (_, _, e) in zip(
+                fast, constructible_instances(4)):
+            ranked_passes.clear()
+            want = generic_stabilizer(e)
+            assert (got.dim, got.is_abelian, got.reductive_rank, got.stab_basis) == \
+                (want.dim, want.is_abelian, want.reductive_rank, want.stab_basis), \
+                (row_id, params)
+            assert want.failure_bound == 2 * sz_bound(e.ambient.dim, 1 << 20, 8) + \
+                sum(modular_term(t.bits) for t in ranked_passes)
+            paths["certified"] += certified
+            paths["certified, dim > 1"] += certified and got.dim > 1
+            paths["certified, not abelian"] += certified and not got.is_abelian
+        assert paths["certified"] > 55 and paths["certified, dim > 1"] > 10 \
+            and paths["certified, not abelian"] > 5, paths
+
+    @pytest.mark.parametrize("p, q, pinned", [
+        (3, 7, "203314953049f11c137a82f50a584aa271da2e40028d18a6e79e5f633d907439"),
+        (5, 5, "a6a524f1026d904d2cd897fd117f4d5b0f83f198db5f7f6f10d5539bec0b4f8f"),
+    ])
+    def test_rank_9_decide_takes_no_exact_stabilizer_kernel(self, monkeypatch, p, q,
+                                                            pinned):
+        # the verdict blocks of the two rank-9 pairs, pinned before the
+        # certified path existed, come out with no exact kernel at all
+        def no_kernel(self):
+            raise AssertionError("decide took an exact stabilizer kernel")
+
+        monkeypatch.setattr(subalgebras.RankedTrials, "kernel", no_kernel)
+        e = embed(sl(10), "block_sgl", {"p": p, "q": q})
+        block = json.dumps(_verdict_block(decide(e, DecisionConfig())),
+                           sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(block.encode()).hexdigest() == pinned
+
+    def test_basis_is_built_once_and_only_when_read(self, monkeypatch):
+        real, calls = subalgebras.RankedTrials.kernel, []
+        monkeypatch.setattr(subalgebras.RankedTrials, "kernel",
+                            lambda self: calls.append(1) or real(self))
+        e = embed(sl(6), "block_sgl", {"p": 2, "q": 4})
+        rep = generic_stabilizer(e)
+        assert calls == []
+        assert rep.stab_basis.dim == rep.dim == 5 and rep.stab_basis is rep.stab_basis
+        assert calls == [1]
+
+    @pytest.mark.parametrize("maker", [
+        lambda: embed(sl(6), "block_sgl", {"p": 2, "q": 4}),
+        lambda: embed(sp(6), "sp_sub_center", {"n": 3}),
+        lambda: embed(sl(10), "block_sgl", {"p": 3, "q": 7}),
+    ])
+    def test_false_abelian_verdict_fails_the_jacobian_check(self, monkeypatch, maker):
+        # every bracket mod p read as zero: the non-abelian stabilizer looks
+        # abelian, and dim h* then exceeds rank g - rank_p J(x_1)
+        real = subalgebras.is_abelian
+        monkeypatch.setattr(subalgebras, "is_abelian",
+                            lambda L, rows, p=0: True if p else real(L, rows))
+        with pytest.raises(GenericityError, match="rank J"):
+            generic_stabilizer(maker())
+
+    def test_exact_basis_is_checked_against_the_modular_verdict(self, ranked_passes):
+        e = embed(sl(6), "block_sgl", {"p": 2, "q": 4})
+        rep = generic_stabilizer(e)
+        args = (e.ambient, e.h_int_rows(), ranked_passes[0])
+        assert subalgebras._checked_basis(*args, rep.is_abelian) == rep.stab_basis
+        with pytest.raises(RuntimeError, match="abelianness found modulo p"):
+            subalgebras._checked_basis(*args, not rep.is_abelian)
+
+    def test_abelian_checks_every_pair(self):
+        # E01 and E02 commute, E02 and E12 commute, E01 and E12 do not
+        L = sl(3)
+        rows = [L.coords_of_matrix({pos: 1}) for pos in ((0, 1), (0, 2), (1, 2))]
+        for p in (0, trial_prime(0)):
+            assert is_abelian(L, rows[:2], p)
+            assert not is_abelian(L, rows, p)
+
+    def test_left_kernel_mod_p_matches_the_exact_kernel(self):
+        p, rng = trial_prime(0), random.Random(4)
+        for rows_n, cols_n, rank in ((6, 4, 3), (5, 7, 5), (4, 4, 0), (3, 2, 2)):
+            basis = [[rng.randint(-9, 9) for _ in range(cols_n)] for _ in range(rank)]
+            rows = [[sum(rng.randint(-3, 3) * b[j] for b in basis) for j in range(cols_n)]
+                    for _ in range(rows_n)]
+            got = exact_linalg.left_kernel_mod_p(rows, p)
+            assert len(got) == rows_n - rank_mod_p(rows, p)
+            assert all(sum(l * r[j] for l, r in zip(lam, rows)) % p == 0
+                       for lam in got for j in range(cols_n))
+            assert rank_mod_p(got, p) == len(got)
+            want = [[a.numerator * pow(a.denominator, -1, p) % p for a in lam]
+                    for lam in left_kernel(rows)]
+            assert rank_mod_p(got + want, p) == len(got) == len(want)
 
 
 class TestDecompose:
