@@ -51,6 +51,7 @@ from .criteria import (
     decide,
 )
 from .decomposition import combined_verdict, split_pair
+from .exact_linalg import Subspace
 from .lie_core import UnsupportedTypeError, build_algebra
 from .slodowy import principal_sl2, slice_nonempty, slice_regularity_check, slodowy_slice
 from .subalgebras import Embedding, generic_stabilizer, perp
@@ -76,6 +77,13 @@ def _num(x):
 
 def _vec(v):
     return [_num(Fraction(x)) for x in v]
+
+
+def _basis(s: Subspace) -> list[list]:
+    """A subspace's basis as printed: its reduced row echelon form, each
+    stored row divided by its pivot."""
+    return [[_num(Fraction(x, row[p])) for x in row]
+            for row, p in zip(s.basis, s.pivots())]
 
 
 def load_pair(doc: dict) -> Embedding:
@@ -347,7 +355,7 @@ def cmd_stabilizer(args) -> int:
         "reductive_rank": rep.reductive_rank,
         "failure_bound": _num(rep.failure_bound),
         "failure_bound_float": float(rep.failure_bound),
-        "stab_basis": [_vec(v) for v in rep.stab_basis.basis],
+        "stab_basis": _basis(rep.stab_basis),
         "dim_h": e.dim_h,
         "dim_h_perp": perp(e).dim,
         "timing_seconds": round(time.time() - t0, 3),

@@ -140,13 +140,14 @@ def _so_in_subspace(m: int, W: list[list[Fraction]], k: int,
 
 
 def _inverse(s: list[list], what: str) -> list[list[Fraction]]:
-    """Inverse of a square matrix, by row reduction of [s | I]."""
+    """Inverse of a square matrix, by row reduction of [s | I]: row i of the
+    inverse is the right half of RREF row i divided by its pivot."""
     n = len(s)
-    rr, piv = rref([list(row) + [Fraction(i == j) for j in range(n)]
+    rr, piv = rref([list(row) + [int(i == j) for j in range(n)]
                     for i, row in enumerate(s)])
     if piv != list(range(n)):
         raise InvalidSubalgebraError(f"{what} is singular")
-    return [row[n:] for row in rr]
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(rr)]
 
 
 # -- individual constructors ----------------------------------------------------
@@ -568,9 +569,12 @@ def _embed_custom(ambient: LieAlgebra, params: dict) -> Embedding:
     mats = params.get("matrices", [])
     if not isinstance(mats, list):
         raise InvalidSubalgebraError("custom.matrices must be a list of matrices")
+    n = ambient.matrix_size
     sparse = []
     for k, rows in enumerate(mats):
         dense = _matrix(rows, f"custom.matrices[{k}]")
+        if len(dense) != n or any(len(row) != n for row in dense):
+            raise InvalidSubalgebraError(f"custom.matrices[{k}] must be {n} x {n}")
         sparse.append({(a, b): v for a, row in enumerate(dense)
                        for b, v in enumerate(row) if v})
     spec = params.get("involution")
@@ -610,7 +614,7 @@ def _embed_direct_sum(ambient: LieAlgebra, params: dict) -> Embedding:
         sub_emb = embed(sub, part["constructor"], part.get("params"))
         b_off = ambient.factor_basis_slices[consumed][0]
         for v in sub_emb.h_basis.basis:
-            vec = [Fraction(0)] * ambient.dim
+            vec = [0] * ambient.dim
             vec[b_off:b_off + sub.dim] = v
             vectors.append(vec)
         if sub_emb.theta_cols is None:

@@ -43,16 +43,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .exact_linalg import clear_denominators
 from .subalgebras import (
     Embedding,
     GenericityError,
     GenericStabilizerReport,
-    _perp_int_rows,
     cartan_subspace_stabilizer,
     generic_stabilizer,
     is_abelian,
-    perp,  # noqa: F401 - a binding perfbench's selfcheck expects the tracer to wrap
+    perp,
     random_combination,
     sample_bounds,
     sz_bound,
@@ -161,7 +159,7 @@ def find_regular_witness(e: Embedding, cfg: DecisionConfig) -> Optional[list]:
     configured coefficient bound.  Each sample is tested exactly in the
     defining representation (``LieAlgebra.is_regular_in_v``)."""
     L = e.ambient
-    rows = _perp_int_rows(e)
+    rows = perp(e).basis
     if not rows:
         return None
     rng = random.Random(cfg.seed ^ 0x5EED)
@@ -217,7 +215,7 @@ def satake_route(e: Embedding, cfg: DecisionConfig = DecisionConfig()) -> Verdic
     L = e.ambient
     c, zc = cartan_subspace_stabilizer(
         e, seed=cfg.seed + 17, trials=cfg.trials, coeff_bound=cfg.coeff_bound)
-    abelian = is_abelian(L, [clear_denominators(v) for v in zc.basis])
+    abelian = is_abelian(L, zc.basis)
     rep = GenericStabilizerReport(
         dim=zc.dim, is_abelian=abelian, reductive_rank=L.rank - c.dim,
         trials=cfg.trials, coefficient_bound=cfg.coeff_bound,
@@ -260,7 +258,7 @@ def decide(e: Embedding, cfg: DecisionConfig = DecisionConfig(),
         if not (isinstance(cert, ExactRegularElement)
                 and L.is_regular(cert.witness)[0]
                 and not any(L.killing_form(hr, cert.witness)
-                            for hr in e.h_int_rows())):
+                            for hr in e.h_basis.basis)):
             raise CertificateError("YES witness failed exact re-verification")
         return Verdict(True, cert, routes, inv)
     return Verdict(False, results["regular_element"].certificate, routes, inv)

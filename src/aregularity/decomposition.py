@@ -1,11 +1,11 @@
 """Splitting pairs (g, h) into indecomposable factors.
 
 The ambient coordinates are grouped by simple factor, and h is stored as
-its RREF basis, which is unique; the RREF of a direct sum of subspaces on
-disjoint coordinate sets is the union of their RREFs.  So h splits over a
-partition of the simple factors iff no basis row touches two parts, and
-the finest factorization is given by the connected components of "factors
-touched by one row".  The same pass on [h, h] decides strict
+its canonical basis (scaled RREF rows), which is unique; the canonical
+basis of a direct sum of subspaces on disjoint coordinate sets is the
+union of theirs.  So h splits over a partition of the simple factors iff
+no basis row touches two parts, and the finest factorization is given by
+the connected components of "factors touched by one row".  The same pass on [h, h] decides strict
 indecomposability.  The verdict of the whole pair is the conjunction of
 the factor verdicts.
 """
@@ -69,7 +69,8 @@ def _restrict_embedding(e: Embedding, group: tuple[int, ...]) -> Embedding:
 
 
 def split_pair(e: Embedding) -> PairFactorization:
-    """Indecomposable factorization of (g, h), read off the RREF basis of h."""
+    """Indecomposable factorization of (g, h), read off the canonical basis
+    of h."""
     L = e.ambient
     if not L.is_semisimple():
         raise ValueError("ambient algebra must be semisimple")
@@ -91,7 +92,7 @@ def split_pair(e: Embedding) -> PairFactorization:
 
 def derived_subalgebra(e: Embedding) -> Subspace:
     L = e.ambient
-    rows = e.h_int_rows()
+    rows = e.h_basis.basis
     brackets = []
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
@@ -106,10 +107,6 @@ def is_strictly_indecomposable(e: Embedding) -> bool:
     L = e.ambient
     return (len(L.factors) == 1
             or len(_factor_groups(L, derived_subalgebra(e))) == 1)
-
-
-def is_indecomposable(e: Embedding) -> bool:
-    return len(_factor_groups(e.ambient, e.h_basis)) == 1
 
 
 def combined_verdict(f: PairFactorization,

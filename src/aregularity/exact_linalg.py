@@ -7,26 +7,28 @@ cleared of denominators and every step works on integers, with divisions
 that are exact by the Bareiss determinant identity, which keeps coefficient
 growth polynomial.  ``bareiss_echelon`` clears each pivot column below the
 pivot, which is all a rank needs.  ``rref`` runs the same elimination
-Gauss-Jordan style, clearing above the pivot too; every pivot then ends equal
-to the last one, d, and the reduced row-echelon form over Q is the integer
-matrix divided by d, one division per nonzero output entry.  ``kernel`` reads
-the reduced row-echelon basis of a kernel off one such elimination of the
+Gauss-Jordan style, clearing above the pivot too, and returns the reduced
+row-echelon form over Q with each row scaled to its primitive integer
+multiple with a positive pivot: the integer rows of the elimination divided
+by their gcd, one gcd per row.  ``kernel`` reads the canonical basis of a
+kernel, scaled the same way, off one such elimination of the
 column-reversed rows.  Both first split the matrix into the connected
 components of its rows and columns (``_blocks``) and run one elimination per
-block on that block's columns, each with its own d: the matrices of this
-package (Gram rows, 1 + theta, Levi subalgebras) are block-sparse, and a
-pivot never touches the rows of another block.  ``bareiss_echelon`` does
-not split: its callers rank dense matrices.  ``lift`` turns a canonical
-kernel basis over a subspace's rows into the canonical basis of its image
-with no elimination at all, by dividing each combination by its leading
-entry.  ``rank_mod_p`` ranks over GF(p) instead, and ``left_kernel_mod_p``
-takes a left kernel there, for callers that account for the chance that p
-divides the minor carrying the rank (``hadamard_bits`` bounds its size and
-``is_prime`` certifies p).
+block on that block's columns: the matrices of this package (Gram rows,
+1 + theta, Levi subalgebras) are block-sparse, and a pivot never touches
+the rows of another block.  ``bareiss_echelon`` does not split: its callers
+rank dense matrices.  ``lift`` turns a canonical kernel basis over a
+subspace's rows into the canonical basis of its image with no elimination
+at all, by dividing each combination by its gcd.  ``rank_mod_p`` ranks over
+GF(p) instead, and ``left_kernel_mod_p`` takes a left kernel there, for
+callers that account for the chance that p divides the minor carrying the
+rank (``hadamard_bits`` bounds its size and ``is_prime`` certifies p).
 
-``Subspace`` keeps its basis in reduced row-echelon form with pivot columns
-in increasing order, so two subspaces are equal iff their stored
-representations are identical field by field.
+``Subspace`` stores that canonical integer basis, so two subspaces are
+equal iff their stored representations are identical field by field, and
+its rows feed integer arithmetic as they are.  Only the operations that
+need Q (``Subspace.reduce`` and ``coefficients_of``, ``solve_linear``)
+divide, by the integer pivot.
 
 All values are immutable and every operation is a pure function, so the
 module is safe for concurrent use without synchronization.
@@ -37,19 +39,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Scalar = int | Fraction
-Vector = tuple[Fraction, ...]
+Vector = tuple[int, ...]
 
 
 class DimensionError(ValueError):
     """Operands have incompatible dimensions."""
-
-
-def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def clear_denominators(row: Sequence[Scalar]) -> list[int]:
@@ -278,38 +276,41 @@ def _blocks(m: Sequence[Sequence[int]], ncols: int) -> list[tuple[list[int], lis
     return list(blocks.values())
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+def _primitive(v: list[int], lead: int) -> list[int]:
+    """v divided by the gcd of its entries, signed so that v[lead] > 0."""
+    g = gcd(*v)
+    if v[lead] < 0:
+        g = -g
+    return v if g == 1 else [x // g for x in v]
 
 
-def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q (unit pivots, zeros above pivots).
+def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over Q (zeros above pivots), each row
+    scaled to its primitive integer multiple with a positive pivot.
 
     The denominator-cleared rows split into the blocks of ``_blocks``, whose
     row spaces have disjoint column supports, so the RREF is the union of
     the blocks' RREF rows in increasing order of pivot column.  Each block
     takes one fraction-free Gauss-Jordan elimination on its own columns,
-    which leaves every pivot of the block equal to its last one, d, so each
-    nonzero output entry is one ``Fraction(x, d)``."""
+    whose rows are integer multiples of the block's RREF rows."""
     m = [clear_denominators(r) for r in rows]
     ncols = len(m[0]) if m else 0
-    out: list[tuple[int, list[Fraction]]] = []
+    out: list[tuple[int, list[int]]] = []
     for bi, cols in _blocks(m, ncols):
         sub = [[m[i][c] for c in cols] for i in bi]
-        pivots = _eliminate(sub, jordan=True)
-        d = sub[-1][pivots[-1]]
-        for row, p in zip(sub, pivots):
-            v = [_ZERO] * ncols
-            for c, x in zip(cols, row):
-                if x:
-                    v[c] = Fraction(x, d)
+        for row, p in zip(sub, _eliminate(sub, jordan=True)):
+            v = [0] * ncols
+            for c, x in zip(cols, _primitive(row, p)):
+                v[c] = x
             out.append((cols[p], v))
     out.sort(key=lambda t: t[0])
     return [v for _, v in out], [p for p, _ in out]
 
 
-def kernel(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Fraction]]:
+def kernel(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[int]]:
     """Canonical basis of {v : row . v = 0 for every row}: the reduced row
-    echelon form of the kernel, in increasing order of leading column.
+    echelon form of the kernel, in increasing order of leading column, each
+    vector its primitive integer multiple with a positive leading entry.
 
     The kernel is the direct sum of the kernels of the blocks of
     ``_blocks``, each on its own columns, and of the unit vectors of the
@@ -318,9 +319,10 @@ def kernel(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Fraction]]
     in the original column order, the vector of each free column f is 1 at
     f, 0 at the other free columns and nonzero only at pivot columns right
     of f.  Every pivot of the block's elimination ends equal to its last
-    one, d, so each entry is one ``Fraction(-x, d)``."""
+    one, d, so d times that vector is d at f and minus column f of the
+    eliminated rows at the pivot columns."""
     m = [clear_denominators(r) for r in rows]
-    out: list[tuple[int, list[Fraction]]] = []
+    out: list[tuple[int, list[int]]] = []
     free = [True] * ncols
     for bi, cols in _blocks(m, ncols):
         rev = cols[::-1]
@@ -333,33 +335,34 @@ def kernel(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Fraction]]
         for f, col in enumerate(rev):
             if f in pivot_set:
                 continue
-            v = [_ZERO] * ncols
-            v[col] = _ONE
+            v = [0] * ncols
+            v[col] = d
             for row, c in zip(sub, pivots):
-                if row[f]:
-                    v[rev[c]] = Fraction(-row[f], d)
-            out.append((col, v))
+                v[rev[c]] = -row[f]
+            out.append((col, _primitive(v, col)))
     for c in range(ncols):
         if free[c]:
-            v = [_ZERO] * ncols
-            v[c] = _ONE
+            v = [0] * ncols
+            v[c] = 1
             out.append((c, v))
     out.sort(key=lambda t: t[0])
     return [v for _, v in out]
 
 
-def left_kernel(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
-    """Coefficient vectors lam with sum(lam_i * rows[i]) = 0."""
+def left_kernel(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
+    """Coefficient vectors lam with sum(lam_i * rows[i]) = 0, canonical as
+    in ``kernel``."""
     if not rows:
         return []
     return kernel([list(col) for col in zip(*rows)], len(rows))
 
 
 def solve_linear(rows: Sequence[Sequence[Scalar]],
-                 b: Sequence[Scalar]) -> Optional[Vector]:
+                 b: Sequence[Scalar]) -> Optional[tuple[Fraction, ...]]:
     """A particular solution of rows . x = b, or None when inconsistent.
 
-    The canonical choice sets all free variables to zero.
+    The canonical choice sets all free variables to zero: x at a pivot
+    column is the RREF row's last entry divided by its pivot.
     """
     if len(b) != len(rows):
         raise DimensionError("right-hand side length does not match row count")
@@ -368,14 +371,17 @@ def solve_linear(rows: Sequence[Sequence[Scalar]],
     if ncols in piv:
         return None
     x = [Fraction(0)] * ncols
-    for i, c in enumerate(piv):
-        x[c] = rr[i][ncols]
+    for row, c in zip(rr, piv):
+        x[c] = Fraction(row[ncols], row[c])
     return tuple(x)
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Q^n, basis stored in canonical RREF form."""
+    """A linear subspace of Q^n.  Its basis is canonical: the rows of its
+    reduced row echelon form, pivot columns increasing, each row scaled to
+    its primitive integer multiple with a positive pivot (as ``rref``
+    returns them)."""
 
     ambient_dim: int
     basis: tuple[Vector, ...]
@@ -397,9 +403,8 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        eye = [[Fraction(1) if i == j else Fraction(0) for j in range(ambient_dim)]
-               for i in range(ambient_dim)]
-        return cls(ambient_dim, tuple(tuple(r) for r in eye))
+        return cls(ambient_dim, tuple(tuple(int(i == j) for j in range(ambient_dim))
+                                      for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -411,34 +416,32 @@ class Subspace:
             out.append(next(j for j, x in enumerate(row) if x))
         return out
 
-    def reduce(self, v: Sequence[Scalar]) -> list[Fraction]:
-        """Residual of v after subtracting its projection onto the row space."""
+    def _split(self, v: Sequence[Scalar]) -> tuple[list[Fraction], list]:
+        """(coefficients of v's projection onto the row space in the stored
+        basis, the residual of v): each stored row is subtracted with
+        coefficient (the residual at its pivot) / (its pivot)."""
         if len(v) != self.ambient_dim:
             raise DimensionError("vector length does not match ambient dimension")
-        w = [_frac(x) for x in v]
+        w = list(v)
+        coeffs = []
         for row, p in zip(self.basis, self.pivots()):
-            f = w[p]
+            f = Fraction(w[p], row[p])
+            coeffs.append(f)
             if f:
                 w = [a - f * b for a, b in zip(w, row)]
-        return w
+        return coeffs, w
+
+    def reduce(self, v: Sequence[Scalar]) -> list:
+        """Residual of v after subtracting its projection onto the row space."""
+        return self._split(v)[1]
 
     def contains_vector(self, v: Sequence[Scalar]) -> bool:
         return not any(self.reduce(v))
 
     def coefficients_of(self, v: Sequence[Scalar]) -> Optional[list[Fraction]]:
         """Coefficients of v in the stored basis, or None if v is outside."""
-        if len(v) != self.ambient_dim:
-            raise DimensionError("vector length does not match ambient dimension")
-        w = [_frac(x) for x in v]
-        coeffs = []
-        for row, p in zip(self.basis, self.pivots()):
-            f = w[p]
-            coeffs.append(f)
-            if f:
-                w = [a - f * b for a, b in zip(w, row)]
-        if any(w):
-            return None
-        return coeffs
+        coeffs, w = self._split(v)
+        return None if any(w) else coeffs
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: echelonize [[U U],[V 0]]; zero-left rows carry U∩V.
@@ -448,11 +451,8 @@ class Subspace:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionError("ambient dimension mismatch")
         n = self.ambient_dim
-        stacked: list[list[Fraction]] = []
-        for u in self.basis:
-            stacked.append(list(u) + list(u))
-        for v in other.basis:
-            stacked.append(list(v) + [Fraction(0)] * n)
+        stacked = [list(u) + list(u) for u in self.basis]
+        stacked += [list(v) + [0] * n for v in other.basis]
         rows, _ = rref(stacked)
         return Subspace(n, tuple(tuple(r[n:]) for r in rows if not any(r[:n])))
 
@@ -474,24 +474,23 @@ def lift(coeffs: Sequence[Sequence[Scalar]], rows: Sequence[Sequence[Scalar]],
     """Span of the combinations of ``rows`` given by each coefficient vector,
     e.g. a kernel over a spanning set lifted back to coordinates.
 
-    ``coeffs`` must be a canonical basis (as ``kernel`` and ``left_kernel``
-    return) and ``rows`` nonzero multiples of the rows of a ``Subspace``
-    basis, in order (``clear_denominators`` of each).  Combination k then
-    leads at the pivot of the row where coefficient vector k leads and is
-    zero at the pivots of the other combinations, so dividing each by its
-    leading entry gives the reduced row echelon form of the span with no
-    elimination.  That shape is checked; an input outside the precondition
-    raises ``RuntimeError``."""
+    ``coeffs`` must be a canonical basis up to row scaling (as ``kernel``
+    and ``left_kernel`` return) and ``rows`` nonzero multiples of the rows
+    of a ``Subspace`` basis, in order.  Combination k then leads at the
+    pivot of the row where coefficient vector k leads and is zero at the
+    pivots of the other combinations, so it is a multiple of a reduced row
+    echelon row of the span, and dividing its denominator-cleared entries by
+    their gcd gives the canonical basis with no elimination.  That shape is
+    checked; an input outside the precondition raises ``RuntimeError``."""
     basis: list[Vector] = []
     leads: list[int] = []
     for lam in coeffs:
-        v = combine(clear_denominators(lam), rows, dim)
+        v = clear_denominators(combine(lam, rows, dim))
         lead = next((j for j, a in enumerate(v) if a), dim)
         if lead == dim or (leads and lead <= leads[-1]):
             raise RuntimeError("lift: coefficients or rows are not canonical "
                                "(a combination is zero or leads out of order)")
-        a = v[lead]
-        basis.append(tuple(Fraction(x, a) for x in v))
+        basis.append(tuple(_primitive(v, lead)))
         leads.append(lead)
     for lead, vec in zip(leads, basis):
         if any(vec[c] for c in leads if c != lead):

@@ -31,7 +31,6 @@ trace-of-ad definition.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -215,9 +214,6 @@ class LieAlgebra:
     gram_rows: list[dict[int, int]] = field(repr=False)
 
     # -- construction helpers -------------------------------------------------
-
-    def zero_element(self) -> ElementVector:
-        return [0] * self.dim
 
     def matrix_of(self, x: Sequence[Scalar]) -> SparseMatrix:
         out: SparseMatrix = {}
@@ -437,9 +433,6 @@ class LieAlgebra:
                 if row[m] and ay[m][k]:
                     acc += row[m] * ay[m][k]
         return acc
-
-    def random_element(self, rng: random.Random, bound: int = 9) -> ElementVector:
-        return [rng.randint(-bound, bound) for _ in range(self.dim)]
 
 
 def _powers(block: list[list[int]], count: int) -> list[list[list[int]]]:

@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 
 from .exact_linalg import (
     Subspace,
-    clear_denominators,
     combine,
     kernel,
     left_kernel,
@@ -128,7 +127,7 @@ def slice_regularity_check(L: LieAlgebra, s: SlodowySlice, samples: int = 20,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
-    rows = [clear_denominators(v) for v in s.directions.basis]
+    rows = s.directions.basis
     for _ in range(samples):
         step = combine([rng.randint(-9, 9) for _ in rows], rows, L.dim)
         if not L.is_regular_in_v([b + v for b, v in zip(s.base, step)]):
@@ -160,7 +159,7 @@ def _weight_graded_directions(L: LieAlgebra, s: SlodowySlice,
     """Slice directions split into ad_h eigenvectors, weights ascending by
     absolute value (weights are even and non-positive on ker ad_f)."""
     out: list[tuple[int, ElementVector]] = []
-    rows = [list(v) for v in s.directions.basis]
+    rows = s.directions.basis
     h_brackets = [L.bracket(list(h), v) for v in rows]
     weight = 0
     while len(out) < s.directions.dim and weight <= 2 * L.dim:

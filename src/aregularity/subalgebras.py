@@ -95,7 +95,7 @@ class InvolutionError(ValueError):
 
 
 class DegenerateFormError(ValueError):
-    """Trace form degenerates on h in a way that breaks the perp dimension."""
+    """The trace form is degenerate on h, so h is not reductive in g."""
 
 
 class GenericityError(RuntimeError):
@@ -188,22 +188,15 @@ class Embedding:
     def dim_h(self) -> int:
         return self.h_basis.dim
 
-    def h_int_rows(self) -> list[list[int]]:
-        rows = self._cache.get("h_int_rows")
-        if rows is None:
-            rows = _int_rows(self.h_basis)
-            self._cache["h_int_rows"] = rows
-        return rows
-
     def _validate_closure(self) -> None:
         """Raise ``BracketClosureError`` unless every bracket of two basis
-        rows of h lies in h.  h's integer rows are multiples of its RREF
-        rows, so a bracket v lies in h exactly when it equals
+        rows of h lies in h.  h's rows are multiples of its RREF rows, so a
+        bracket v lies in h exactly when it equals
         sum_k (v[p_k] / r_k[p_k]) r_k over the rows r_k with pivots p_k
         (``_in_span``); h is never echelonized again."""
         L = self.ambient
-        rows = self.h_int_rows()
-        pivots = [next(j for j, a in enumerate(r) if a) for r in rows]
+        rows = self.h_basis.basis
+        pivots = self.h_basis.pivots()
         for i in range(len(rows)):
             brackets = [L.bracket(rows[i], rows[j]) for j in range(i + 1, len(rows))]
             if not _in_span(L.dim, brackets, rows, pivots):
@@ -273,7 +266,7 @@ class Embedding:
         # Fix(theta) exactly when theta fixes h and the dimensions agree
         trace = sum(cols[j][j] for j in range(L.dim))
         if 2 * self.dim_h != L.dim + trace or any(
-                self.apply_theta(row) != row for row in self.h_int_rows()):
+                self.apply_theta(row) != list(row) for row in self.h_basis.basis):
             raise InvolutionError("h is not the fixed algebra of the involution")
 
     # -- ideal decomposition ---------------------------------------------------
@@ -313,8 +306,8 @@ def sz_bound(dim: int, bound: int, trials: int) -> Fraction:
     return Fraction(dim, 2 * bound + 1) ** trials
 
 
-def random_combination(rng: random.Random, rows: list[list[int]], bound: int,
-                       dim: int) -> list[int]:
+def random_combination(rng: random.Random, rows: Sequence[Sequence[int]],
+                       bound: int, dim: int) -> list[int]:
     """A nonzero integer combination of ``rows`` with coefficients uniform in
     [-bound, bound]; the zero vector when ``rows`` is empty."""
     if bound < 1:
@@ -414,16 +407,16 @@ class RankedTrials:
         return lam
 
 
-def rank_trials(L: LieAlgebra, rows: list[list[int]],
-                sample_rows: list[list[int]], rng: random.Random, trials: int,
-                bound: int, p: int) -> RankedTrials:
+def rank_trials(L: LieAlgebra, rows: Sequence[Sequence[int]],
+                sample_rows: Sequence[Sequence[int]], rng: random.Random,
+                trials: int, bound: int, p: int) -> RankedTrials:
     """The sample x of V = span(sample_rows) of maximal bracket rank, that
     is of minimal centralizer {sum lam_i rows_i : [sum lam_i rows_i, x] = 0}.
 
     Precondition: V is ad(rows)-stable, so every bracket [rows_i, x] lies in
     V.  This holds for h acting on h-perp or on the (-1)-eigenspace q, and
-    for a subalgebra acting on itself.  The sample rows are
-    denominator-cleared RREF rows, so a vector of V is fixed by its entries
+    for a subalgebra acting on itself.  The sample rows are a ``Subspace``
+    basis, multiples of RREF rows, so a vector of V is fixed by its entries
     at their pivot columns, and brackets are ranked on those dim V columns
     rather than on all dim g.
 
@@ -484,7 +477,7 @@ def rank_trials(L: LieAlgebra, rows: list[list[int]],
 
 
 def _in_span(dim: int, vectors: list[list[int]],
-             sample_rows: list[list[int]], pivots: list[int]) -> bool:
+             sample_rows: Sequence[Sequence[int]], pivots: list[int]) -> bool:
     """Whether each vector v equals sum_k (v[p_k] / s_k[p_k]) s_k over the
     sample rows s_k with pivots p_k.  For rows that are multiples of RREF
     rows, that is whether every vector lies in their span; in general it
@@ -500,7 +493,7 @@ def _in_span(dim: int, vectors: list[list[int]],
 
 
 def _check_in_span(dim: int, vectors: list[list[int]],
-                   sample_rows: list[list[int]], pivots: list[int]) -> None:
+                   sample_rows: Sequence[Sequence[int]], pivots: list[int]) -> None:
     """Raise ``RuntimeError`` unless ``_in_span`` holds."""
     if not _in_span(dim, vectors, sample_rows, pivots):
         raise RuntimeError(
@@ -519,19 +512,19 @@ def is_abelian(L: LieAlgebra, rows: Sequence[Sequence], p: int = 0) -> bool:
     return True
 
 
-def _int_rows(s: Subspace) -> list[list[int]]:
-    return [clear_denominators(v) for v in s.basis]
-
-
 # -- orthogonal complement and stabilizers -------------------------------------
 
 def perp(e: Embedding) -> Subspace:
     """Annihilator of h in g under the invariant trace form.
 
-    Checks dim(h-perp) = dim g - dim h.  Stability under ad(h) needs no
-    check here: it follows from bracket closure of h (checked by
-    ``Embedding``) and invariance of the trace form (checked once per
-    ambient algebra when it is built).
+    Checks that the form restricted to h is nondegenerate, which makes h
+    reductive (Bourbaki, Lie I 6.4) and holds on the Lie algebra of every
+    reductive algebraic subgroup: the matrix K(h_i, h_j), read off the
+    Gram-applied rows of h, must have a zero kernel, else
+    ``DegenerateFormError``.  Stability under ad(h) needs no check here: it
+    follows from bracket closure of h (checked by ``Embedding``) and
+    invariance of the trace form (checked once per ambient algebra when it
+    is built).
     """
     cached = e._cache.get("perp")
     if cached is not None:
@@ -539,33 +532,30 @@ def perp(e: Embedding) -> Subspace:
     L = e.ambient
     if not L.is_semisimple():
         raise DegenerateFormError("ambient algebra must be semisimple")
+    h_rows = e.h_basis.basis
     gram_applied = []
-    for hr in e.h_int_rows():
+    for hr in h_rows:
         out = [0] * L.dim
         for k, hk in enumerate(hr):
             if hk:
                 for j, g in L.gram_rows[k].items():
                     out[j] += hk * g
         gram_applied.append(out)
-    result = Subspace(L.dim, tuple(map(tuple, kernel(gram_applied, L.dim))))
-    if result.dim != L.dim - e.dim_h:
+    support = [[(k, a) for k, a in enumerate(hr) if a] for hr in h_rows]
+    form = [[sum(g[k] * a for k, a in nz) for nz in support] for g in gram_applied]
+    if kernel(form, len(h_rows)):
         raise DegenerateFormError(
             "trace form restricted to h is degenerate; input is not a "
             "reductive subalgebra of a semisimple ambient algebra")
+    result = Subspace(L.dim, tuple(map(tuple, kernel(gram_applied, L.dim))))
     e._cache["perp"] = result
-    e._cache["perp_int_rows"] = _int_rows(result)
     return result
-
-
-def _perp_int_rows(e: Embedding) -> list[list[int]]:
-    perp(e)
-    return e._cache["perp_int_rows"]
 
 
 def stabilizer(e: Embedding, x: Sequence) -> Subspace:
     """The subalgebra {h in h-basis span : [h, x] = 0}, as a subspace of g."""
     L = e.ambient
-    h_rows = e.h_int_rows()
+    h_rows = e.h_basis.basis
     x_int = clear_denominators(x)
     return lift(left_kernel([L.bracket(hr, x_int) for hr in h_rows]), h_rows, L.dim)
 
@@ -608,8 +598,8 @@ def generic_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
     L = e.ambient
     rng = random.Random(seed)
     p = trial_prime(seed)
-    h_rows = e.h_int_rows()
-    first = rank_trials(L, h_rows, _perp_int_rows(e), rng, trials, coeff_bound, p)
+    h_rows = e.h_basis.basis
+    first = rank_trials(L, h_rows, perp(e).basis, rng, trials, coeff_bound, p)
     if first.certified:
         dim = len(h_rows) - first.rank
         abelian = dim < 2 or is_abelian(
@@ -627,7 +617,7 @@ def generic_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
         basis = partial(_checked_basis, L, h_rows, first, abelian)
     else:
         stab = lift(first.kernel(), h_rows, L.dim)
-        stab_rows = _int_rows(stab)
+        stab_rows = stab.basis
         dim = rank = stab.dim
         abelian = is_abelian(L, stab_rows)
         failure = 2 * sz_bound(L.dim, coeff_bound, trials) + first.failure_term
@@ -643,7 +633,8 @@ def generic_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
     return report
 
 
-def _abelian_bits(L: LieAlgebra, h_rows: list[list[int]], minor_bits: int) -> int:
+def _abelian_bits(L: LieAlgebra, h_rows: Sequence[Sequence[int]],
+                  minor_bits: int) -> int:
     """bits with 2^bits above every bracket coordinate of two Cramer left
     kernel vectors of a bracket matrix whose minors are at most
     2^minor_bits, lifted through ``h_rows``: a lifted coordinate k is at
@@ -659,14 +650,14 @@ def _abelian_bits(L: LieAlgebra, h_rows: list[list[int]], minor_bits: int) -> in
     return 2 * (minor_bits + columns.bit_length()) + max(structure).bit_length()
 
 
-def _checked_basis(L: LieAlgebra, h_rows: list[list[int]], first: RankedTrials,
+def _checked_basis(L: LieAlgebra, h_rows: Sequence[Sequence[int]], first: RankedTrials,
                    abelian: bool) -> Subspace:
     """The exact stabilizer at a certified pass's sample, ``lift`` of the
     exact left kernel there, checked against the dimension and the
     abelianness found modulo p (``RuntimeError`` on a mismatch)."""
     stab = lift(first.kernel(), h_rows, L.dim)
     if (stab.dim != len(h_rows) - first.rank
-            or is_abelian(L, _int_rows(stab)) != abelian):
+            or is_abelian(L, stab.basis) != abelian):
         raise RuntimeError(
             "the exact stabilizer disagrees with the dimension or abelianness "
             "found modulo p; internal error")
@@ -701,7 +692,7 @@ def cartan_subspace_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
     if e.theta_cols is None:
         raise InvolutionError("embedding carries no involution")
     L = e.ambient
-    q_rows = _perp_int_rows(e)
+    q_rows = perp(e).basis
     for r in q_rows:
         if any(a + b for a, b in zip(e.apply_theta(r), r)):
             raise InvolutionError("h-perp is not the (-1)-eigenspace of the involution")
@@ -714,14 +705,14 @@ def cartan_subspace_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
         cols = sorted({k for v in brackets for k, a in enumerate(v) if a})
         c = lift(left_kernel([[v[k] for k in cols] for v in brackets]),
                  q_rows, L.dim)
-        if is_abelian(L, _int_rows(c)):
+        if is_abelian(L, c.basis):
             break
     else:
         raise GenericityError(
             "no sample in q was semisimple with abelian z_q(x); retry with a "
             "different seed")
-    h_rows = e.h_int_rows()
-    pivots = [next(j for j, a in enumerate(r) if a) for r in q_rows]
+    h_rows = e.h_basis.basis
+    pivots = perp(e).pivots()
     brackets = [L.bracket(r, x) for r in h_rows]
     _check_in_span(L.dim, brackets, q_rows, pivots)
     zc = lift(left_kernel([[v[k] for k in pivots] for v in brackets]), h_rows, L.dim)
@@ -742,7 +733,7 @@ def decompose_reductive(e_or_pair, subspace: Optional[Subspace] = None) -> Ideal
         L, h = e_or_pair.ambient, e_or_pair.h_basis
     else:
         L, h = e_or_pair, subspace
-    h_rows = _int_rows(h)
+    h_rows = h.basis
     n_h = len(h_rows)
     if n_h == 0:
         return IdealDecomposition(Subspace.zero(L.dim), ())
@@ -751,7 +742,7 @@ def decompose_reductive(e_or_pair, subspace: Optional[Subspace] = None) -> Ideal
     brackets = [[L.bracket(h_rows[i], h_rows[j]) for j in range(n_h)] for i in range(n_h)]
     for j in range(n_h):
         for t in range(L.dim):
-            row = [int(brackets[i][j][t]) for i in range(n_h)]
+            row = [brackets[i][j][t] for i in range(n_h)]
             if any(row):
                 eq_rows.append(row)
     center = lift(kernel(eq_rows, n_h), h_rows, L.dim)
@@ -765,7 +756,7 @@ def decompose_reductive(e_or_pair, subspace: Optional[Subspace] = None) -> Ideal
 
 
 def _ad_on_subspace(L: LieAlgebra, sub: Subspace) -> list[list[list[Fraction]]]:
-    rows = _int_rows(sub)
+    rows = sub.basis
     d = len(rows)
     mats = []
     for i in range(d):
@@ -933,7 +924,7 @@ def _split_semisimple(L: LieAlgebra, derived: Subspace,
         if len(set(roots)) < 2:
             continue
         pieces: list[Subspace] = []
-        rows = _int_rows(derived)
+        rows = derived.basis
         for lam in sorted(set(roots)):
             shifted = [[C[r][s] - (lam if r == s else 0) for s in range(d)]
                        for r in range(d)]

@@ -1,7 +1,17 @@
-"""Subspace operations that only the tests need."""
+"""Subspace and element operations that only the tests need."""
 
 from aregularity.exact_linalg import DimensionError, Subspace
 from aregularity.subalgebras import rank_trials, trial_prime
+
+
+def zero_element(L) -> list[int]:
+    """The zero element of L."""
+    return [0] * L.dim
+
+
+def random_element(L, rng, bound: int = 9) -> list[int]:
+    """An element of L with coordinates uniform in [-bound, bound]."""
+    return [rng.randint(-bound, bound) for _ in range(L.dim)]
 
 
 def _check_ambient(u: Subspace, v: Subspace) -> None:

@@ -530,6 +530,26 @@ class TestStabilizer:
         assert json.loads(out)["error"] == error
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("rank,mats,error,message", [
+        (2, [[[1, 0], [0, -1]]], "InvalidSubalgebraError", "custom.matrices[0]"),
+        (2, [[[1, 0, 0], [0, -1]]], "InvalidSubalgebraError", "custom.matrices[0]"),
+        (1, [[[1, 0], [0, -1]], [[0, 1], [0, 0]]], "DegenerateFormError", "degenerate"),
+        (2, [[[1, 0, 0], [0, -1, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, -1]],
+             [[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+             [[0, 0, 0], [0, 0, 1], [0, 0, 0]]], "DegenerateFormError", "degenerate"),
+        (1, [[[0, 1], [0, 0]]], "DegenerateFormError", "degenerate"),
+    ], ids=["too-small", "ragged", "borel-sl2", "borel-sl3", "nilpotent-line"])
+    def test_custom_h_of_wrong_shape_or_not_reductive_is_refused(
+            self, tmp_path, capsys, rank, mats, error, message):
+        pair = write_pair(tmp_path, "p.json", {
+            "g": [{"family": "A", "rank": rank}], "h": {"custom": {"matrices": mats}}})
+        code = main(["decide", pair] + FAST)
+        out, err = capsys.readouterr()
+        assert code == EXIT_ERROR
+        rep = json.loads(out)
+        assert rep["error"] == error and message in rep["message"]
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("g,mats,involution", [
         ([1, 1], [[[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
                   [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],

@@ -10,7 +10,6 @@ from aregularity.criteria import DecisionConfig, decide
 from aregularity.decomposition import (
     combined_verdict,
     derived_subalgebra,
-    is_indecomposable,
     is_strictly_indecomposable,
     split_pair,
 )
@@ -77,7 +76,6 @@ class TestSplitPair:
     def test_chain_image_indecomposable_not_strict(self, n):
         amb = build_algebra([("A", n), ("A", 1)])
         e = embed(amb, "chain_image", {"n": n})
-        assert is_indecomposable(e)
         assert len(split_pair(e).factors) == 1
         assert not is_strictly_indecomposable(e)
 
@@ -212,7 +210,6 @@ def test_factor_groups_match_bipartition_search():
             len(_reference_groups(L, derived, g)) == 1 for g in groups], name
         assert is_strictly_indecomposable(e) == (
             len(_reference_groups(L, derived, everything)) == 1), name
-        assert is_indecomposable(e) == (len(groups) == 1), name
     split = {name: [f.factor_indices for f in split_pair(e).factors]
              for name, e in pairs[-3:]}
     assert split == {"chain+so": [(0, 1), (2,)], "diag-0-2": [(0, 2), (1,)],

@@ -1,11 +1,13 @@
 """Unit and property tests for the exact rational linear algebra kernel."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aregularity.cli import _basis
 from aregularity.exact_linalg import (
     DimensionError,
     _blocks,
@@ -131,6 +133,13 @@ class TestSubspace:
         assert coeffs == [2, 5]
         assert u.coefficients_of([0, 0, 1]) is None
 
+    def test_rows_are_primitive_with_a_positive_pivot(self):
+        u = Subspace.span([[-1, Fraction(-1, 2), 0], [0, 0, 6]], 3)
+        assert u.basis == ((2, 1, 0), (0, 0, 1))
+        assert u.coefficients_of([4, 2, 3]) == [2, 3]
+        # the printed basis is the unit-pivot RREF
+        assert _basis(u) == [["1", "1/2", "0"], ["0", "0", "1"]]
+
 
 small_entries = st.integers(min_value=-6, max_value=6)
 
@@ -175,6 +184,8 @@ def test_canonical_form_under_row_operations(data):
     extra = [[sum(c * r[j] for c, r in zip(mix, rows + rows)) for j in range(n)]]
     v = Subspace.span(list(rows) + extra, n)
     assert u == v
+    assert all(gcd(*r) == 1 and r[p] > 0 for r, p in zip(u.basis, u.pivots()))
+    assert all(type(x) is int for r in u.basis for x in r)
 
 
 # -- the fraction-free Gauss-Jordan rref against Fraction back-substitution ----
@@ -196,6 +207,17 @@ def reference_rref(rows):
             if f:
                 out[i] = [a - f * b for a, b in zip(out[i], row_k)]
     return out, pivots
+
+
+def primitive(rows):
+    """Unit-pivot RREF rows, each scaled by the lcm of its denominators: the
+    primitive integer multiple with a positive pivot, which is how ``rref``,
+    ``kernel`` and ``Subspace`` store a row."""
+    out = []
+    for row in rows:
+        den = lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(x * den) for x in row])
+    return out
 
 
 def reference_kernel(rows, ncols):
@@ -258,10 +280,14 @@ def test_gauss_jordan_matches_back_substitution(m, rhs):
     # comparing it with the RREF of the reference basis is as strict as
     # comparing the bases themselves
     nc = len(m[0])
-    assert rref(m) == reference_rref(m)
-    assert kernel(m, nc) == reference_rref(reference_kernel(m, nc))[0]
+    rr, pivots = reference_rref(m)
+    assert rref(m) == (primitive(rr), pivots)
+    assert kernel(m, nc) == primitive(reference_rref(reference_kernel(m, nc))[0])
     transposed = [list(col) for col in zip(*m)]
-    assert left_kernel(m) == reference_rref(reference_kernel(transposed, len(m)))[0]
+    assert left_kernel(m) == \
+        primitive(reference_rref(reference_kernel(transposed, len(m)))[0])
+    assert all(type(x) is int for rows in (rref(m)[0], kernel(m, nc), left_kernel(m))
+               for r in rows for x in r)
     b = rhs[:len(m)]
     assert solve_linear(m, b) == reference_solve(m, b)
 
@@ -318,10 +344,12 @@ def assert_exact_partition(m, blocks):
 def test_block_split_matches_unsplit_elimination(m):
     nr, nc = len(m), len(m[0])
     assert_exact_partition(m, _blocks([clear_denominators(r) for r in m], nc))
-    assert rref(m) == reference_rref(m)
-    assert kernel(m, nc) == reference_rref(reference_kernel(m, nc))[0]
+    rr, pivots = reference_rref(m)
+    assert rref(m) == (primitive(rr), pivots)
+    assert kernel(m, nc) == primitive(reference_rref(reference_kernel(m, nc))[0])
     transposed = [list(col) for col in zip(*m)]
-    assert left_kernel(m) == reference_rref(reference_kernel(transposed, nr))[0]
+    assert left_kernel(m) == \
+        primitive(reference_rref(reference_kernel(transposed, nr))[0])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -363,8 +391,11 @@ def lift_inputs(draw, min_dim=0):
 @given(lift_inputs())
 def test_lift_matches_span_of_combinations(data):
     coeffs, rows, dim = data
-    assert lift(coeffs, rows, dim) == \
-        Subspace.span([combine(lam, rows, dim) for lam in coeffs], dim)
+    combos = [combine(lam, rows, dim) for lam in coeffs]
+    lifted = lift(coeffs, rows, dim)
+    assert lifted == Subspace.span(combos, dim)
+    assert [list(v) for v in lifted.basis] == primitive(reference_rref(combos)[0])
+    assert all(type(x) is int for v in lifted.basis for x in v)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

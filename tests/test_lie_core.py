@@ -21,6 +21,7 @@ from aregularity.lie_core import (
     build_algebra,
     classical_factor,
 )
+from subspace_ops import random_element, zero_element
 
 A1 = ("A", 1)
 A2 = ("A", 2)
@@ -44,7 +45,7 @@ TEST_ALGEBRAS = [
 
 
 def unit(L, i):
-    x = L.zero_element()
+    x = zero_element(L)
     x[i] = 1
     return x
 
@@ -112,8 +113,8 @@ def test_jacobi_identity(factors, rng):
 def test_bracket_antisymmetry_linearity(factors, rng):
     L = build_algebra(factors)
     for _ in range(10):
-        x = L.random_element(rng)
-        y = L.random_element(rng)
+        x = random_element(L, rng)
+        y = random_element(L, rng)
         xy = L.bracket(x, y)
         yx = L.bracket(y, x)
         assert all(a == -b for a, b in zip(xy, yx))
@@ -142,14 +143,14 @@ class TestSl2:
 
     def test_zero_ad(self):
         L = build_algebra([A1])
-        assert not any(any(row) for row in L.ad_rows(L.zero_element()))
+        assert not any(any(row) for row in L.ad_rows(zero_element(L)))
 
 
 @pytest.mark.parametrize("factors", TEST_ALGEBRAS)
 def test_killing_symmetry_and_invariance(factors, rng):
     L = build_algebra(factors)
     for _ in range(20):
-        x, y, z = (L.random_element(rng, 4) for _ in range(3))
+        x, y, z = (random_element(L, rng, 4) for _ in range(3))
         assert L.killing_form(x, y) == L.killing_form(y, x)
         lhs = L.killing_form(L.bracket(x, y), z)
         rhs = -L.killing_form(y, L.bracket(x, z))
@@ -171,15 +172,15 @@ def test_form_invariance_check_rejects_perturbed_gram(entry):
 def test_scaled_trace_form_matches_trace_of_ad(factors, rng):
     L = build_algebra(factors)
     for _ in range(20):
-        x = L.random_element(rng, 3)
-        y = L.random_element(rng, 3)
+        x = random_element(L, rng, 3)
+        y = random_element(L, rng, 3)
         assert L.killing_form(x, y) == L.trace_form(x, y)
 
 
 class TestRegularity:
     def test_zero_not_regular(self):
         L = build_algebra([A1])
-        reg, cdim = L.is_regular(L.zero_element())
+        reg, cdim = L.is_regular(zero_element(L))
         assert (reg, cdim) == (False, 3)
 
     def test_nilpotent_e_regular_sl2(self):
@@ -200,7 +201,7 @@ class TestRegularity:
         L = build_algebra(factors)
         found_regular = False
         for _ in range(50):
-            x = L.random_element(rng, 6)
+            x = random_element(L, rng, 6)
             reg, cdim = L.is_regular(x)
             assert cdim >= L.rank
             found_regular = found_regular or reg
@@ -218,7 +219,7 @@ def strictly_upper_indices(L):
 
 def regular_nilpotent(L, skip=None):
     """The sum of the simple root vectors, leaving out the one at ``skip``."""
-    x = L.zero_element()
+    x = zero_element(L)
     for k, i in enumerate(L.simple_e_indices):
         x[i] = int(k != skip)
     return x
@@ -229,7 +230,7 @@ def torus_ramp(L, with_nilpotent=False):
     the simple root vectors if ``with_nilpotent``.  In so(2r) the torus part
     is diag(0, 1, ..., r - 1, -(r - 1), ..., -1, 0): regular, with the
     eigenvalue 0 twice."""
-    x = regular_nilpotent(L) if with_nilpotent else L.zero_element()
+    x = regular_nilpotent(L) if with_nilpotent else zero_element(L)
     for a, i in enumerate(L.cartan_indices):
         x[i] = a
     return x
@@ -252,7 +253,7 @@ def regularity_cases(draw):
     elif kind == "torus_ramp":
         x = torus_ramp(L, draw(st.booleans()))
     else:
-        x = L.zero_element()
+        x = zero_element(L)
         for i in strictly_upper_indices(L):
             x[i] = draw(st.integers(-2, 2))
         if kind == "torus_upper":
@@ -315,7 +316,7 @@ class TestRegularModularRank:
                                                            monkeypatch, rng):
         L = build_algebra(factors)
         elements = [regular_nilpotent(L), regular_nilpotent(L, 0), torus_ramp(L),
-                    L.zero_element()] + [L.random_element(rng, 3) for _ in range(4)]
+                    zero_element(L)] + [random_element(L, rng, 3) for _ in range(4)]
         exact = []
         for x in elements:
             cdim = L.dim - len(bareiss_echelon(L.ad_rows(clear_denominators(x)))[1])
@@ -356,7 +357,7 @@ def torus_and_commuting_root(L, rng):
     eigenvalue, [d, e] = 0, and d + e has a Jordan block."""
     e = unit(L, L.simple_e_indices[0])
     alpha = [L.bracket(unit(L, i), e)[L.simple_e_indices[0]] for i in L.cartan_indices]
-    d = L.zero_element()
+    d = zero_element(L)
     for i in L.cartan_indices:
         d[i] = rng.randint(1, 9)
     j = next(k for k, a in enumerate(alpha) if a)
@@ -374,7 +375,7 @@ class TestDiagonalizableInV:
         L = build_algebra(factors)
         d, e = torus_and_commuting_root(L, rng)
         assert not any(L.bracket(d, e))
-        upper, lower = L.zero_element(), L.zero_element()
+        upper, lower = zero_element(L), zero_element(L)
         for i in strictly_upper_indices(L):
             upper[i] = rng.randint(-2, 2)
         for i in strictly_lower_indices(L):
@@ -386,13 +387,13 @@ class TestDiagonalizableInV:
         assert L.is_diagonalizable_in_v(p_conj(d))
         assert not L.is_diagonalizable_in_v(p_conj([a + b for a, b in zip(d, e)]))
         assert L.is_diagonalizable_in_v(p_conj(torus_ramp(L)))
-        assert L.is_diagonalizable_in_v(L.zero_element())
+        assert L.is_diagonalizable_in_v(zero_element(L))
         assert not L.is_diagonalizable_in_v(regular_nilpotent(L))
         assert not L.is_diagonalizable_in_v(p_conj(regular_nilpotent(L)))
 
     def test_center_is_diagonal(self):
         L = build_algebra([A1], center_dim=1)
-        x = L.zero_element()
+        x = zero_element(L)
         x[-1] = 5
         assert L.is_diagonalizable_in_v(x)
         x[L.simple_e_indices[0]] = 1
@@ -417,7 +418,7 @@ class TestCoordinates:
     def test_roundtrip(self, factors, rng):
         L = build_algebra(factors)
         for _ in range(5):
-            x = L.random_element(rng, 5)
+            x = random_element(L, rng, 5)
             back = L.coords_of_matrix(L.matrix_of(x))
             assert back is not None
             assert all(a == b for a, b in zip(back, x))

@@ -1,5 +1,5 @@
 """Byte-identity guard: the canonical decide/stabilizer reports over the
-catalog sweep at ambient rank <= 3, and on two rank-9 pairs whose stabilizer
+catalog sweep at ambient ranks <= 3 and <= 4, and on two rank-9 pairs whose stabilizer
 rows carry entries of hundreds of bits, must keep their pinned digests.
 
 A change that alters these reports on purpose updates the pinned values and
@@ -22,6 +22,8 @@ from aregularity.subalgebras import embed
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = "6629a50adc17c653ef92f74cd14c6e2e0ec53bc0afe2987ac4778f9ee86126e6"
+PINNED_MAX_RANK_4 = \
+    "a2cb1e61ad85fde2328e679fe9885badf707f8fb98b8b88681729c80d347efa0"
 PINNED_WITHOUT_FAILURE_BOUND = \
     "c2f099f95cf29c268cf976d6abb653944ded1eb3987896d7cd1b7ede6b1890f7"
 
@@ -37,8 +39,11 @@ def _digest_line(*args):
     return proc.stdout.splitlines()[-1]
 
 
-def test_report_digest_max_rank_3():
-    assert _digest_line("--max-rank", "3") == f"sha256 {PINNED} over 38 instances"
+@pytest.mark.parametrize("max_rank, pinned, instances", [
+    (3, PINNED, 38), (4, PINNED_MAX_RANK_4, 68)], ids=["3", "4"])
+def test_report_digest_max_rank(max_rank, pinned, instances):
+    assert _digest_line("--max-rank", str(max_rank)) == \
+        f"sha256 {pinned} over {instances} instances"
 
 
 def test_report_digest_max_rank_3_without_failure_bound():

@@ -34,7 +34,7 @@ from aregularity.subalgebras import (
     sz_bound,
     trial_prime,
 )
-from subspace_ops import contains_subspace, generic_point, sum_with
+from subspace_ops import contains_subspace, generic_point, sum_with, zero_element
 
 
 def sl(n):
@@ -193,12 +193,12 @@ class TestConstructors:
         assert checked == ["so_block", "block_one"]
 
     def test_closure_with_non_unit_pivots(self):
-        # h = span{diag(2, -1, -1), 2 e12 + e13}: both integer RREF rows have
+        # h = span{diag(2, -1, -1), 2 e12 + e13}: both canonical rows have
         # pivot 2, and [H, X] = 3X lies in h
         L = sl(3)
         x = [[0, 2, 1], [0, 0, 0], [0, 0, 0]]
         e = embed(L, "custom", {"matrices": [[[2, 0, 0], [0, -1, 0], [0, 0, -1]], x]})
-        assert sorted(next(a for a in r if a) for r in e.h_int_rows()) == [2, 2]
+        assert sorted(next(a for a in r if a) for r in e.h_basis.basis) == [2, 2]
         # with diag(1, 0, -1), [H, X] = 2 e12 + 2 e13 agrees with X on the
         # pivot column e12 but not at e13
         with pytest.raises(BracketClosureError, match="vectors 0, 1"):
@@ -274,7 +274,7 @@ class TestPerp:
 class TestStabilizer:
     def test_zero_point(self):
         e = embed(sl(3), "so_in_sl", {"n": 3})
-        assert stabilizer(e, e.ambient.zero_element()) == e.h_basis
+        assert stabilizer(e, zero_element(e.ambient)) == e.h_basis
 
     def test_so3_generic_symmetric(self):
         L = sl(3)
@@ -352,10 +352,6 @@ def reference_generic_point(L, rows, sample_rows, rng, trials, bound):
     return best[0], best[1], len(best[1])
 
 
-def int_rows(s):
-    return [clear_denominators(v) for v in s.basis]
-
-
 def constructible_instances(max_rank):
     cat = default_catalog()
     for table in ("T1_h_ess", "T2_levi", "T3_symmetric", "T4_spherical",
@@ -387,8 +383,8 @@ class TestGenericPoint:
         # non-abelian stabilizer, the stabilizer on itself
         rank_passes = 0
         for row, params, e in constructible_instances(3):
-            L, h_rows = e.ambient, e.h_int_rows()
-            passes = [(h_rows, int_rows(perp(e)))]
+            L, h_rows = e.ambient, e.h_basis.basis
+            passes = [(h_rows, perp(e).basis)]
             new_rng, ref_rng = random.Random(5), random.Random(5)
             while passes:
                 rows, sample_rows = passes.pop()
@@ -397,7 +393,7 @@ class TestGenericPoint:
                                                8, 1 << 20)
                 assert got == want, (row.row_id, params)
                 assert new_rng.random() == ref_rng.random(), (row.row_id, params)
-                stab_rows = int_rows(lift(got[1], rows, L.dim))
+                stab_rows = lift(got[1], rows, L.dim).basis
                 if rows is h_rows and not is_abelian(L, stab_rows):
                     passes.append((stab_rows, stab_rows))
                     rank_passes += 1
@@ -409,14 +405,14 @@ class TestGenericPoint:
                             lambda rows, p: real(rows, p) + 1)
         e = embed(sl(5), "block_sgl", {"p": 2, "q": 3})
         with pytest.raises(RuntimeError, match="disagrees with its rank"):
-            generic_point(e.ambient, e.h_int_rows(), int_rows(perp(e)),
+            generic_point(e.ambient, e.h_basis.basis, perp(e).basis,
                           random.Random(0), 2, 1 << 10)
 
     def test_rank_short_by_one_keeps_the_exact_kernel(self, monkeypatch):
         # p dividing the minors at the best sample under-ranks it; the pass
         # returns the exact kernel there, not rows - (modular rank)
         e = embed(sl(5), "block_sgl", {"p": 2, "q": 3})
-        args = (e.ambient, e.h_int_rows(), int_rows(perp(e)))
+        args = (e.ambient, e.h_basis.basis, perp(e).basis)
         want = generic_point(*args, random.Random(0), 2, 1 << 10)
         real = subalgebras.rank_mod_p
         monkeypatch.setattr(subalgebras, "rank_mod_p",
@@ -453,7 +449,7 @@ class TestGenericPoint:
         first = ranked_passes[0]
         if passes == 1:
             assert first.certified and first.failure_term == 0
-            bits = subalgebras._abelian_bits(e.ambient, e.h_int_rows(), first.bits)
+            bits = subalgebras._abelian_bits(e.ambient, e.h_basis.basis, first.bits)
             assert first.bits == subalgebras.hadamard_bits(first.restricted)
             assert rep.failure_bound == modular_term(bits) > 0
         else:
@@ -515,9 +511,9 @@ def stabilizer_passes(e):
     """(rows, sample rows) of each pass of ``generic_stabilizer`` at the
     default config: h on h-perp, then a non-abelian stabilizer on itself."""
     rep = generic_stabilizer(e)
-    yield e.h_int_rows(), int_rows(perp(e))
+    yield e.h_basis.basis, perp(e).basis
     if not rep.is_abelian:
-        stab = int_rows(rep.stab_basis)
+        stab = rep.stab_basis.basis
         yield stab, stab
 
 
@@ -685,7 +681,7 @@ class TestCertifiedStabilizer:
     def test_exact_basis_is_checked_against_the_modular_verdict(self, ranked_passes):
         e = embed(sl(6), "block_sgl", {"p": 2, "q": 4})
         rep = generic_stabilizer(e)
-        args = (e.ambient, e.h_int_rows(), ranked_passes[0])
+        args = (e.ambient, e.h_basis.basis, ranked_passes[0])
         assert subalgebras._checked_basis(*args, rep.is_abelian) == rep.stab_basis
         with pytest.raises(RuntimeError, match="abelianness found modulo p"):
             subalgebras._checked_basis(*args, not rep.is_abelian)
@@ -873,8 +869,8 @@ class TestSymmetric:
         nilpotent = e.ambient.coords_of_matrix({(0, 1): 1})
         assert perp(e).contains_vector(nilpotent)
         z_q = lift(left_kernel([e.ambient.bracket(r, nilpotent)
-                                for r in int_rows(perp(e))]),
-                   int_rows(perp(e)), e.ambient.dim)
+                                for r in perp(e).basis]),
+                   perp(e).basis, e.ambient.dim)
         assert z_q == Subspace.span([nilpotent], e.ambient.dim)
         return e, nilpotent
 

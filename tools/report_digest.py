@@ -26,7 +26,7 @@ import json
 import sys
 
 from aregularity.catalog import default_catalog
-from aregularity.cli import _num, _vec, _verdict_block
+from aregularity.cli import _basis, _num, _verdict_block
 from aregularity.criteria import DecisionConfig, decide
 from aregularity.lie_core import build_algebra
 from aregularity.subalgebras import embed, generic_stabilizer
@@ -53,7 +53,7 @@ def report_line(header: dict, e, cfg: DecisionConfig,
         "trials": rep.trials,
         "coefficient_bound": rep.coefficient_bound,
         "failure_bound": _num(rep.failure_bound),
-        "stab_basis": [_vec(v) for v in rep.stab_basis.basis],
+        "stab_basis": _basis(rep.stab_basis),
     }
     return json.dumps({
         **header,
