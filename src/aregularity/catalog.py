@@ -40,7 +40,7 @@ from .lie_core import (
     build_algebra,
     classical_factor,
 )
-from .subalgebras import Embedding, embed
+from .subalgebras import Embedding, GenericityError, InvalidSubalgebraError, embed
 from .criteria import DecisionConfig, Verdict, decide
 
 
@@ -370,7 +370,7 @@ class Catalog:
             return False
         try:
             dec = e.ideal_decomposition
-        except Exception:
+        except (InvalidSubalgebraError, GenericityError):
             return False
         return dec.center.dim == want_center and \
             sorted(p.dim for p in dec.simple_ideals) == sorted(want_simple_dims)

@@ -22,7 +22,8 @@ subspace's rows into the canonical basis of its image with no elimination
 at all, by dividing each combination by its gcd.  ``rank_mod_p`` ranks over
 GF(p) instead, and ``left_kernel_mod_p`` takes a left kernel there, for
 callers that account for the chance that p divides the minor carrying the
-rank (``hadamard_bits`` bounds its size and ``is_prime`` certifies p).
+rank (``hadamard_bits`` bounds its size and ``is_prime`` certifies p), and
+for a caller that certifies its lift to Q (``kernel_mod_p_lifted``) exactly.
 
 ``Subspace`` stores that canonical integer basis, so two subspaces are
 equal iff their stored representations are identical field by field, and
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 Scalar = int | Fraction
@@ -182,6 +183,32 @@ def left_kernel_mod_p(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
             v[c] = -row[f] % p
         out.append(v)
     return out
+
+
+def kernel_mod_p_lifted(rows: Sequence[Sequence[int]], ncols: int,
+                        p: int) -> Optional[list[list[int]]]:
+    """A candidate for ``kernel(rows, ncols)``: the kernel mod p in its shape
+    (``left_kernel_mod_p`` of the column-reversed transpose), each entry
+    lifted to the r/s with |r|, |s| <= sqrt(p/2) congruent to it (Wang's
+    rational reconstruction); None when an entry has no such lift.  It has
+    dim ker_p >= dim ker_Q independent vectors, so if they all lie in a
+    subspace W of the rational kernel, W is that kernel and they are its
+    canonical basis."""
+    bound = isqrt(p // 2)
+    out = []
+    for v in left_kernel_mod_p([[row[c] for row in rows] for c in reversed(range(ncols))], p):
+        lifted = []
+        for a in reversed(v):
+            r0, r1, s0, s1 = p, a, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            if abs(s1) > bound:
+                return None
+            lifted.append(Fraction(r1, s1))
+        w = clear_denominators(lifted)
+        out.append(_primitive(w, next(j for j, a in enumerate(w) if a)))
+    return out[::-1]
 
 
 def hadamard_bits(rows: Sequence[Sequence[int]]) -> int:

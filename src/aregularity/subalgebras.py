@@ -63,6 +63,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from math import lcm
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .exact_linalg import (
@@ -73,6 +74,7 @@ from .exact_linalg import (
     hadamard_bits,
     is_prime,
     kernel,
+    kernel_mod_p_lifted,
     left_kernel,
     left_kernel_mod_p,
     lift,
@@ -728,7 +730,10 @@ def decompose_reductive(e_or_pair, subspace: Optional[Subspace] = None) -> Ideal
     The derived algebra is split with the adjoint-commutant algorithm: a
     random element of the commutant has a rational minimal polynomial whose
     eigenspaces are sums of ideals; recursion refines until each piece has
-    a one-dimensional commutant."""
+    a one-dimensional commutant.  Each commutant is solved modulo a prime
+    and certified exactly (``_commutant_basis``): a kernel mod p is never
+    smaller than over Q, so lifted independent vectors that pass the exact
+    check are the canonical basis an exact solve would give."""
     if subspace is None:
         L, h = e_or_pair.ambient, e_or_pair.h_basis
     else:
@@ -755,25 +760,43 @@ def decompose_reductive(e_or_pair, subspace: Optional[Subspace] = None) -> Ideal
     return IdealDecomposition(center, tuple(ideals))
 
 
-def _ad_on_subspace(L: LieAlgebra, sub: Subspace) -> list[list[list[Fraction]]]:
+# a fixed prime: the exact check certifies the commutant at any p
+_COMMUTANT_PRIME = (1 << 61) - 1
+
+
+def _ad_on_subspace(L: LieAlgebra, sub: Subspace) -> list[list[list[int]]]:
+    """ad u on sub's coordinates for each basis row u, scaled by the lcm of the
+    pivots to integers; coordinate k of v is v[pivot k] / (pivot k)."""
     rows = sub.basis
-    d = len(rows)
+    pivots = sub.pivots()
+    scale = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    factors = [scale // row[c] for row, c in zip(rows, pivots)]
     mats = []
-    for i in range(d):
+    for u in rows:
         cols = []
-        for j in range(d):
-            br = L.bracket(rows[i], rows[j])
-            coeffs = sub.coefficients_of(br)
-            if coeffs is None:
+        for v in rows:
+            br = L.bracket(u, v)
+            coeffs = [br[c] * f for c, f in zip(pivots, factors)]
+            if combine(coeffs, rows, L.dim) != [scale * a for a in br]:
                 raise InvalidSubalgebraError("subspace is not an ideal of itself")
             cols.append(coeffs)
         # column j holds [u_i, u_j]; store as matrix acting on coordinates
-        mats.append([[cols[j][k] for j in range(d)] for k in range(d)])
+        mats.append([list(r) for r in zip(*cols)])
     return mats
 
 
-def _commutant_basis(mats: list[list[list[Fraction]]], d: int,
-                     rng: random.Random) -> list[list[list[Fraction]]]:
+def _commutant_basis(mats: list[list[list[int]]], d: int,
+                     rng: random.Random) -> list[list[list[int]]]:
+    """The canonical basis of the matrices commuting with every ``mats``,
+    as ``kernel`` gives it for the flattened equations M A = A M.
+
+    The equations of two random combinations of ``mats`` (of all of them
+    when there are at most four) are solved modulo ``_COMMUTANT_PRIME`` and
+    lifted (``kernel_mod_p_lifted``), and the exact check that every lifted
+    M commutes with every A certifies them: dim ker_p >= dim ker_Q of the
+    sampled equations >= dim of the commutant, and the lifted M are
+    independent, so once all of them pass they are the commutant's canonical
+    basis.  A failed lift or check solves the full system exactly."""
     if d == 0:
         return []
     gens = mats
@@ -781,52 +804,46 @@ def _commutant_basis(mats: list[list[list[Fraction]]], d: int,
         gens = []
         for _ in range(2):
             coeffs = [rng.randint(-5, 5) for _ in mats]
-            g = [[sum(c * m[r][s] for c, m in zip(coeffs, mats)) for s in range(d)]
-                 for r in range(d)]
-            gens.append(g)
-    while True:
-        eq_rows = []
-        for A in gens:
-            for r in range(d):
-                for c in range(d):
-                    row = [Fraction(0)] * (d * d)
-                    for v in range(d):
-                        row[r * d + v] += A[v][c]
-                    for u in range(d):
-                        row[u * d + c] -= A[r][u]
-                    if any(row):
-                        eq_rows.append(row)
-        cand = [[[vec[u * d + v] for v in range(d)] for u in range(d)]
-                for vec in kernel(eq_rows, d * d)]
-        if gens is mats:
-            return cand
-        # sampled generators: verify against the full set, else fall back
-        ok = all(_commutes(M, A, d) for M in cand for A in mats)
-        if ok:
-            return cand
-        gens = mats
+            gens.append([[sum(c * m[r][s] for c, m in zip(coeffs, mats)) for s in range(d)]
+                         for r in range(d)])
+    cand = kernel_mod_p_lifted(_commutant_equations(gens, d), d * d, _COMMUTANT_PRIME)
+    if cand is None or not all(_commutes(v, A, d) for v in cand for A in mats):
+        cand = kernel(_commutant_equations(mats, d), d * d)
+    return [[vec[u * d:u * d + d] for u in range(d)] for vec in cand]
 
 
-def _commutes(M, A, d) -> bool:
-    for r in range(d):
-        for c in range(d):
-            lhs = sum(M[r][v] * A[v][c] for v in range(d))
-            rhs = sum(A[r][u] * M[u][c] for u in range(d))
-            if lhs != rhs:
-                return False
-    return True
+def _commutant_equations(gens: list[list[list[int]]], d: int) -> list[list[int]]:
+    """The rows of M A - A M = 0 over the row-major entries of M."""
+    eq_rows = []
+    for A in gens:
+        a_cols = list(zip(*A))
+        for r in range(d):
+            for c in range(d):
+                row = [0] * (d * d)
+                row[r * d:r * d + d] = a_cols[c]
+                for u in range(d):
+                    row[u * d + c] -= A[r][u]
+                if any(row):
+                    eq_rows.append(row)
+    return eq_rows
 
 
-def _min_poly(M: list[list[Fraction]], d: int) -> list[Fraction]:
+def _commutes(v: list[int], A: list[list[int]], d: int) -> bool:
+    """M A == A M, by integer dot products, for M with row-major entries v."""
+    a_cols = list(zip(*A))
+    return all(sum(map(mul, v[r * d:r * d + d], a_col)) == sum(map(mul, a_row, v[c::d]))
+               for r, a_row in enumerate(A) for c, a_col in enumerate(a_cols))
+
+
+def _min_poly(M: list[list[int]], d: int) -> list[Fraction]:
     """Monic minimal polynomial coefficients (low degree first)."""
-    power = [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
+    power = [[int(i == j) for j in range(d)] for i in range(d)]
+    m_cols = list(zip(*M))
     vecs = []
-    int_vecs = []
     while True:
-        flat = [power[i][j] for i in range(d) for j in range(d)]
+        flat = [a for row in power for a in row]
         vecs.append(flat)
-        int_vecs.append(clear_denominators(flat))
-        if len(bareiss_echelon(int_vecs)[1]) < len(vecs):
+        if len(bareiss_echelon(vecs)[1]) < len(vecs):
             # last power is dependent: solve for the combination
             sol = solve_linear([[vecs[k][t] for k in range(len(vecs) - 1)]
                                 for t in range(d * d)], flat)
@@ -834,16 +851,12 @@ def _min_poly(M: list[list[Fraction]], d: int) -> list[Fraction]:
                 raise RuntimeError("dependent matrix power left the span of the "
                                    "lower powers; internal error")
             return [-s for s in sol] + [Fraction(1)]
-        power = [[sum(power[i][k] * M[k][j] for k in range(d)) for j in range(d)]
-                 for i in range(d)]
+        power = [[sum(map(mul, row, col)) for col in m_cols] for row in power]
 
 
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     """All rational roots of a polynomial that splits over Q."""
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    poly = [Fraction(int(c * den)) for c in coeffs]
+    poly = clear_denominators(coeffs)
     while poly and poly[-1] == 0:
         poly.pop()
     roots: list[Fraction] = []
@@ -864,11 +877,9 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
             roots.append(Fraction(0))
             poly = poly[1:]
             continue
-        a0 = int(poly[0])
-        ad = int(poly[-1])
         found = None
-        for p in sorted(divisors(a0)):
-            for q in sorted(divisors(ad)):
+        for p in sorted(divisors(poly[0])):
+            for q in sorted(divisors(poly[-1])):
                 for cand in (Fraction(p, q), Fraction(-p, q)):
                     val = Fraction(0)
                     for c in reversed(poly):
@@ -889,10 +900,7 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
         for i in range(deg - 1, 0, -1):
             quot[i - 1] = poly[i] + found * quot[i]
         # clear denominators so the divisor search keeps integer inputs
-        d2 = 1
-        for c in quot:
-            d2 = lcm(d2, c.denominator)
-        poly = [c * d2 for c in quot]
+        poly = clear_denominators(quot)
     return roots
 
 

@@ -18,6 +18,7 @@ from aregularity import cli, constructors, subalgebras
 from aregularity.catalog import Catalog, default_catalog
 from aregularity.cli import EXIT_DISAGREE, EXIT_ERROR, EXIT_NO, EXIT_YES, main
 from aregularity.constructors import constructor_names
+from aregularity.lie_core import build_algebra
 from aregularity.subalgebras import Embedding
 
 
@@ -327,6 +328,26 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch
     out, err = capsys.readouterr()
     assert code == EXIT_ERROR
     assert json.loads(out) == {"error": "internal_error", "message": "KeyError: 'boom'"}
+    assert "Traceback" not in err
+
+
+def test_internal_error_in_a_custom_lookup_is_not_a_catalog_miss(
+        tmp_path, capsys, monkeypatch):
+    L = build_algebra([("A", 4)])
+    named = subalgebras.embed(L, "block_sgl", {"p": 2, "q": 3})
+    mats = [[[str(x) for x in row] for row in L.dense_matrix_of(v)]
+            for v in named.h_basis.basis]
+    pair = write_pair(tmp_path, "p.json", {"g": [{"family": "A", "rank": 4}],
+                                           "h": {"custom": {"matrices": mats}}})
+
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(subalgebras, "decompose_reductive", broken)
+    code = main(["decide", pair] + FAST)
+    out, err = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert json.loads(out) == {"error": "RuntimeError", "message": "boom"}
     assert "Traceback" not in err
 
 

@@ -18,6 +18,7 @@ from aregularity.exact_linalg import (
     hadamard_bits,
     is_prime,
     kernel,
+    kernel_mod_p_lifted,
     left_kernel,
     lift,
     rank_mod_p,
@@ -360,6 +361,24 @@ def test_kernel_is_canonical(m):
     assert [tuple(v) for v in kern] == list(Subspace.span(kern, nc).basis)
     lam = left_kernel(m)
     assert [tuple(v) for v in lam] == list(Subspace.span(lam, len(m)).basis)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(matrices())
+def test_kernel_mod_p_lifted_matches_the_kernel(m):
+    # small entries: at 2^61 - 1 the kernel mod p is the rational kernel
+    # and every entry lies within the reconstruction bound
+    rows = [clear_denominators(r) for r in m]
+    assert kernel_mod_p_lifted(rows, len(m[0]), (1 << 61) - 1) == kernel(rows, len(m[0]))
+
+
+def test_kernel_mod_p_lifted_is_only_a_candidate():
+    # kernel (1, 7) is 7 = 1/2 mod 13, within the bound 2, so the lift
+    # is wrong; kernel (1, 5) has 5 = 2/3 mod 13 and no lift at all
+    assert kernel_mod_p_lifted([[7, -1]], 2, 13) == [[2, 1]]
+    assert kernel_mod_p_lifted([[5, -1]], 2, 13) is None
+    assert kernel_mod_p_lifted([[5, -1]], 2, 61) == kernel([[5, -1]], 2) == [[1, 5]]
+    assert kernel_mod_p_lifted([], 2, 13) == [[1, 0], [0, 1]]
 
 
 nonunit_scales = st.one_of(

@@ -745,6 +745,117 @@ class TestDecompose:
         assert total == e.h_basis
 
 
+CONSTRUCTOR_CASES = (
+    ([("A", 3)], "block_sgl", {"p": 2, "q": 2}),
+    ([("A", 4)], "block_sgl", {"p": 2, "q": 3}),
+    ([("A", 3)], "block_ss", {"p": 2, "q": 2}),
+    ([("A", 2)], "so_in_sl", {"n": 3}),
+    ([("A", 1), ("A", 1)], "diagonal", {"family": "A", "rank": 1}),
+    ([("C", 2)], "gl_in_sp", {"n": 2}),
+    ([("D", 3)], "gl_in_so", {"m": 6}),
+    ([("B", 2)], "gl_in_so", {"m": 5}),
+    ([("B", 2)], "so_block", {"p": 3, "q": 2}),
+    ([("B", 3)], "so_block", {"p": 4, "q": 3}),
+    ([("C", 4)], "sp_block", {"parts": [2, 1, 1]}),
+    ([("A", 4)], "sp_in_sl", {"n": 2}),
+    ([("A", 3)], "sp_in_sl", {"n": 2}),
+    ([("A", 4)], "sp_plus_center", {"n": 2}),
+    ([("A", 2), ("A", 1)], "chain_image", {"n": 2}),
+    ([("D", 3), ("B", 2)], "so_diag_pair", {"n": 5}),
+    ([("A", 2), ("C", 1)], "sl_sp_glue", {"n": 3, "m": 1, "with_center": True}),
+    ([("C", 1), ("C", 1)], "sp_diag2", {"m": 1, "n": 1}),
+    ([("C", 1), ("C", 2), ("C", 1)], "sp_chain4", {"n": 1, "m": 1}),
+    ([("A", 2), ("A", 5)], "direct_sum", {"parts": [
+        {"constructor": "so_in_sl", "params": {"n": 3}, "factors": 1},
+        {"constructor": "block_sgl", "params": {"p": 2, "q": 4}, "factors": 1}]}),
+)
+
+
+def conjugated_so4():
+    """so(4) < sl(4) conjugated by diag(1, 2, 3, 5): its commutant basis has
+    entries up to 225, beyond the reconstruction bound of small primes."""
+    d = (1, 2, 3, 5)
+    mats = []
+    for i in range(4):
+        for j in range(i + 1, 4):
+            m = [["0"] * 4 for _ in range(4)]
+            m[i][j], m[j][i] = f"{d[i]}/{d[j]}", f"-{d[j]}/{d[i]}"
+            mats.append(m)
+    return embed(sl(4), "custom", {"matrices": mats})
+
+
+def decomposition_cases():
+    for descs, name, params in CONSTRUCTOR_CASES:
+        yield embed(build_algebra(descs), name, params)
+    yield conjugated_so4()
+    for table in ("T1_h_ess", "T2_levi", "T3_symmetric", "T4_spherical",
+                  "T5_not_regular"):
+        for row, params in default_catalog().enumerate(table, 3):
+            call, descs = row.constructor_call(params), row.ambient_descriptors(params)
+            if call is not None and descs is not None:
+                L = build_algebra(descs)
+                named = embed(L, *call)
+                yield embed(L, "custom", {
+                    "matrices": [L.dense_matrix_of(v) for v in named.h_basis.basis]})
+
+
+def exact_decomposition(e, monkeypatch):
+    """decompose_reductive with the modular commutant solve failing."""
+    with monkeypatch.context() as m:
+        m.setattr(subalgebras, "kernel_mod_p_lifted", lambda *args: None)
+        return decompose_reductive(e.ambient, e.h_basis)
+
+
+class TestModularCommutant:
+    def test_modular_solve_matches_the_exact_path(self, monkeypatch):
+        n = 0
+        for e in decomposition_cases():
+            assert decompose_reductive(e.ambient, e.h_basis) == \
+                exact_decomposition(e, monkeypatch)
+            n += 1
+        assert n > len(CONSTRUCTOR_CASES) + 20
+
+    def commutant_inputs(self):
+        e = embed(sl(5), "block_sgl", {"p": 2, "q": 3})
+        derived = Subspace.span([v for p in decompose_reductive(e).simple_ideals
+                                 for v in p.basis], e.ambient.dim)
+        return e, subalgebras._ad_on_subspace(e.ambient, derived), derived.dim
+
+    def test_corrupted_candidate_is_rejected(self, monkeypatch):
+        e, mats, d = self.commutant_inputs()
+        reference = subalgebras._commutant_basis(mats, d, random.Random(1))
+        assert [[a for row in M for a in row] for M in reference] == \
+            kernel(subalgebras._commutant_equations(mats, d), d * d)
+        lifted = subalgebras.kernel_mod_p_lifted
+        exact_calls = []
+        kernel_ = subalgebras.kernel
+
+        def corrupted(*args):
+            cand = lifted(*args)
+            cand[0][-1] += 1
+            return cand
+
+        monkeypatch.setattr(subalgebras, "kernel_mod_p_lifted", corrupted)
+        monkeypatch.setattr(subalgebras, "kernel", lambda *args: exact_calls.append(
+            args[1]) or kernel_(*args))
+        assert subalgebras._commutant_basis(mats, d, random.Random(1)) == reference
+        assert exact_calls == [d * d]
+        assert decompose_reductive(e.ambient, e.h_basis) == \
+            exact_decomposition(e, monkeypatch)
+
+    def test_prime_too_small_for_reconstruction_falls_back(self, monkeypatch):
+        e = conjugated_so4()
+        reference = exact_decomposition(e, monkeypatch)
+        lifted = subalgebras.kernel_mod_p_lifted
+        results = []
+        monkeypatch.setattr(subalgebras, "_COMMUTANT_PRIME", 8191)
+        monkeypatch.setattr(subalgebras, "kernel_mod_p_lifted",
+                            lambda *args: results.append(lifted(*args)) or results[-1])
+        assert decompose_reductive(e.ambient, e.h_basis) == reference
+        assert results and results[0] is None
+        assert sorted(p.dim for p in reference.simple_ideals) == [3, 3]
+
+
 def symmetric_pairs(max_rank):
     """Every catalog instance with an involution at ambient rank <= max_rank,
     plus the symmetric constructors the catalog does not reach there."""
