@@ -1,16 +1,15 @@
 """Decision procedures for a-regularity of a reductive pair (g, h).
 
 A pair is a-regular iff the orthogonal complement of h meets the regular
-locus of g.  Three independent routes decide this:
+locus of g.  Three routes decide this:
 
 * regular-element: sample h-perp for an exactly verified regular witness
   (YES is deterministic; NO carries a Schwartz-Zippel failure bound, sound
   because regularity is an open condition on the irreducible linear space
   h-perp, so it either holds generically or nowhere).  Samples are tested
-  in the defining representation, by the rank of the matrix powers of each
-  simple factor's block; ``decide`` re-verifies a YES witness with the ad
-  rank, a second exact criterion.  The bound keeps degree dim g, which
-  also bounds the power-rank minor (N(N-1)/2 <= dim of the factor);
+  in the defining representation, by Krylov ranks at random vectors;
+  ``decide`` re-verifies a YES witness with the ad rank, a second exact
+  criterion;
 * abelian-stabilizer: the generic stabilizer of the h-action on h-perp has
   abelian identity component iff the pair is a-regular.  Its sampled
   trials are ranked modulo a random 61-bit prime, and its report's failure
@@ -155,24 +154,27 @@ def _invariants(e: Embedding, cfg: DecisionConfig) -> VerdictInvariants:
 def find_regular_witness(e: Embedding, cfg: DecisionConfig) -> Optional[list]:
     """An exactly verified regular element of h-perp, or None.
 
-    Samples follow ``sample_bounds``: small coefficients first, then the
-    configured coefficient bound.  Each sample is tested exactly in the
-    defining representation (``LieAlgebra.is_regular_in_v``)."""
+    Samples x follow ``sample_bounds`` on the stream seed ^ 0x5EED.  Each is
+    tested by ``LieAlgebra.krylov_regular`` at vectors drawn in the same box
+    from a stream of their own, so the samples do not depend on them."""
     L = e.ambient
     rows = perp(e).basis
     if not rows:
         return None
     rng = random.Random(cfg.seed ^ 0x5EED)
+    vector_rng = random.Random(cfg.seed ^ 0x4B52)
     for bound in sample_bounds(cfg.trials, cfg.coeff_bound):
         x = random_combination(rng, rows, bound, L.dim)
-        if L.is_regular_in_v(x):
+        if L.krylov_regular(x, L.krylov_vectors(vector_rng, bound)):
             return x
     return None
 
 
 def decide_regular_element(e: Embedding,
                            cfg: DecisionConfig = DecisionConfig()) -> Verdict:
-    """YES with an exact regular witness in h-perp, else certified-random NO."""
+    """YES with an exact regular witness in h-perp, else certified-random NO,
+    whose ``sz_bound`` degree is the larger of dim g and the Krylov minors'
+    joint degree sum_f k_f(k_f + 1)/2 (``LieAlgebra.krylov_regular``)."""
     witness = e._cache.get(("witness", cfg.seed, cfg.trials, cfg.coeff_bound))
     if witness is None:
         witness = find_regular_witness(e, cfg)
@@ -181,7 +183,9 @@ def decide_regular_element(e: Embedding,
     if witness is not None:
         return Verdict(True, ExactRegularElement(tuple(witness)),
                        ("regular_element",), inv)
-    bound = sz_bound(e.ambient.dim, cfg.coeff_bound, cfg.trials)
+    L = e.ambient
+    degree = sum(k * (k + 1) // 2 for k in (f.krylov_length for f in L.factors))
+    bound = sz_bound(max(L.dim, degree), cfg.coeff_bound, cfg.trials)
     return Verdict(False, RandomizedNegative(bound), ("regular_element",), inv)
 
 
@@ -253,7 +257,7 @@ def decide(e: Embedding, cfg: DecisionConfig = DecisionConfig(),
         cert = results["regular_element"].certificate
         # re-verify the witness: B(h_i, w) = 0 on every row of h, read off
         # the Gram table rather than perp's kernel, and exact regularity by
-        # the ad rank, a criterion independent of the hunt's power rank
+        # the ad rank, a criterion independent of the hunt's Krylov rank
         L = e.ambient
         if not (isinstance(cert, ExactRegularElement)
                 and L.is_regular(cert.witness)[0]

@@ -89,6 +89,12 @@ class SimpleFactorDescriptor:
         return n * (2 * n - 1)
 
     @property
+    def krylov_length(self) -> int:
+        """The minimal-polynomial degree of a regular block: N, and N - 1 for
+        so(2r), whose regular nilpotent has Jordan type (2r - 1, 1)."""
+        return self.matrix_size - (self.family == "D")
+
+    @property
     def killing_scale(self) -> int:
         if self.family == "A":
             return 2 * (self.rank + 1)
@@ -320,8 +326,8 @@ class LieAlgebra:
         rank g proves regularity outright.  No failure term is added for it:
         the shortcut can only decline to answer (when p divides the minor),
         and then the exact Bareiss rank decides, so the result is the exact
-        one for every x.  ``is_regular_in_v`` decides the same question in
-        the defining representation, far more cheaply."""
+        one for every x.  ``krylov_regular`` proves regularity in the
+        defining representation, far more cheaply."""
         if not self.is_semisimple():
             raise ValueError("regularity is defined here for semisimple algebras")
         ad = self.ad_rows(clear_denominators(x))
@@ -339,22 +345,28 @@ class LieAlgebra:
             yield desc, [[mat.get((off + a, off + b), 0) for b in range(n)]
                          for a in range(n)]
 
-    def is_regular_in_v(self, x: Sequence[Scalar]) -> bool:
-        """Whether x is regular, from matrix powers in the defining
-        representation; requires semisimple.
+    def krylov_vectors(self, rng, bound: int) -> list[list[int]]:
+        """One vector per simple factor, entries uniform in [-bound, bound]."""
+        return [[rng.randint(-bound, bound) for _ in range(f.matrix_size)]
+                for f in self.factors]
 
-        Each simple factor's N x N block X of x is regular exactly when
-        I, X, ..., X^(k-1) are linearly independent: k = N for sl, sp and
-        so(odd), where regular means cyclic, and k = N - 1 for so(2r), whose
-        regular nilpotent has Jordan type (2r - 1, 1) (Kostant 1963;
-        Collingwood-McGovern 1993).  x is regular when every block is."""
+    def krylov_regular(self, x: Sequence[Scalar],
+                       vectors: Sequence[Sequence[int]]) -> bool:
+        """Whether Krylov ranks in the defining representation prove x
+        regular, at one vector v per simple factor; requires semisimple.
+
+        x is regular exactly when each factor's integer block X has a minimal
+        polynomial of degree k = ``krylov_length`` (Kostant 1963), and the
+        rank over Q of v, Xv, ..., X^(k-1)v never exceeds that degree, so
+        True is a proof.  False is a randomized no: column j of a k x k
+        Krylov minor has degree j in x and 1 in v, k(k+1)/2 in all."""
         if not self.is_semisimple():
             raise ValueError("regularity is defined here for semisimple algebras")
-        for desc, block in self._factor_blocks(x):
-            n = desc.matrix_size
-            flats = [[v for row in p for v in row]
-                     for p in _powers(block, n - 1 if desc.family == "D" else n)]
-            if len(bareiss_echelon(flats)[1]) < len(flats):
+        for (desc, block), v in zip(self._factor_blocks(x), vectors, strict=True):
+            seq = [list(v)]
+            for _ in range(desc.krylov_length - 1):
+                seq.append([sum(a * b for a, b in zip(row, seq[-1])) for row in block])
+            if len(bareiss_echelon(seq)[1]) < len(seq):
                 return False
         return True
 

@@ -120,17 +120,24 @@ def slodowy_slice(L: LieAlgebra, t: Sl2Triple) -> SlodowySlice:
     return SlodowySlice(base=t.e, directions=Subspace(L.dim, tuple(map(tuple, kern))))
 
 
+def _is_regular(L: LieAlgebra, x: Sequence, rng: random.Random) -> bool:
+    """Exact: ``LieAlgebra.krylov_regular``, then the ad rank if it fails."""
+    return (L.krylov_regular(x, L.krylov_vectors(rng, 1 << 20))
+            or L.is_regular(x)[0])
+
+
 def slice_regularity_check(L: LieAlgebra, s: SlodowySlice, samples: int = 20,
                            seed: int = 0) -> bool:
-    """Exactly verify regularity of ``samples`` sampled points of the slice
-    (``LieAlgebra.is_regular_in_v``); ``samples`` must be positive."""
+    """Exactly verify regularity of ``samples`` sampled points of the slice;
+    ``samples`` must be positive."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
+    vector_rng = random.Random(seed ^ 0x4B52)
     rows = s.directions.basis
     for _ in range(samples):
         step = combine([rng.randint(-9, 9) for _ in rows], rows, L.dim)
-        if not L.is_regular_in_v([b + v for b, v in zip(s.base, step)]):
+        if not _is_regular(L, [b + v for b, v in zip(s.base, step)], vector_rng):
             return False
     return True
 
@@ -181,7 +188,7 @@ def slice_representative_sl(L: LieAlgebra, x: Sequence) -> Optional[tuple]:
     weight order, each slice coordinate entering its coefficient linearly."""
     if len(L.factors) != 1 or L.factors[0].family != "A" or L.center_dim:
         raise ValueError("slice representatives are implemented for sl(n) only")
-    if not L.is_regular_in_v(x):
+    if not _is_regular(L, x, random.Random(0x4B52)):
         return None
     triple = principal_sl2(L)
     s = slodowy_slice(L, triple)

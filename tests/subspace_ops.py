@@ -1,6 +1,6 @@
 """Subspace and element operations that only the tests need."""
 
-from aregularity.exact_linalg import DimensionError, Subspace
+from aregularity.exact_linalg import DimensionError, Subspace, bareiss_echelon
 from aregularity.subalgebras import rank_trials, trial_prime
 
 
@@ -39,3 +39,20 @@ def generic_point(L, rows, sample_rows, rng, trials, bound):
     best = rank_trials(L, rows, sample_rows, rng, trials, bound, trial_prime(0))
     lam = best.kernel()
     return best.x, lam, len(lam)
+
+
+def power_regular(L, x) -> bool:
+    """The reference regularity test in V: every simple factor's block X of
+    x has linearly independent powers I, X, ..., X^(k-1), with k = N, and
+    k = N - 1 for so(2r), ranked flattened over Q."""
+    for desc, block in L._factor_blocks(x):
+        n = desc.matrix_size
+        power = [[int(a == b) for b in range(n)] for a in range(n)]
+        flats = []
+        for _ in range(n - 1 if desc.family == "D" else n):
+            flats.append([v for row in power for v in row])
+            power = [[sum(row[t] * block[t][b] for t in range(n))
+                      for b in range(n)] for row in power]
+        if len(bareiss_echelon(flats)[1]) < len(flats):
+            return False
+    return True

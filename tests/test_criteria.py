@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from aregularity.lie_core import build_algebra
-from aregularity.subalgebras import embed, perp
+from aregularity.catalog import default_catalog
+from aregularity.lie_core import LieAlgebra, build_algebra
+from aregularity.subalgebras import embed, perp, sz_bound
 from aregularity.criteria import (
     DecisionConfig,
     ExactRegularElement,
@@ -18,9 +19,11 @@ from aregularity.criteria import (
     decide_abelian_stabilizer,
     decide_numerical,
     decide_regular_element,
+    find_regular_witness,
     knop_invariants,
     satake_route,
 )
+from subspace_ops import power_regular
 
 CFG = DecisionConfig(seed=2, trials=4, coeff_bound=1 << 10)
 
@@ -48,6 +51,41 @@ class TestRegularElementRoute:
         assert not v.a_regular
         assert isinstance(v.certificate, RandomizedNegative)
         assert 0 < v.certificate.failure_bound < 1
+
+    @pytest.mark.parametrize("factors,constructor,params,extra", [
+        ([("A", 5)], "block_sgl", {"p": 2, "q": 4}, 0),
+        ([("C", 3)], "sp_sub_center", {"n": 3}, 0),
+        # so(7) > so(6): a 7 x 7 Krylov minor has degree 7 * 8 / 2 = dim g + 7
+        ([("B", 3)], "so_block", {"p": 6, "q": 1}, 7),
+    ])
+    def test_no_bound_degree_counts_the_krylov_vectors(self, factors,
+                                                       constructor, params, extra):
+        L = build_algebra(factors)
+        e = embed(L, constructor, params)
+        assert not decide(e, CFG).a_regular
+        bound = decide_regular_element(e, CFG).certificate.failure_bound
+        assert bound == sz_bound(L.dim + extra, CFG.coeff_bound, CFG.trials)
+
+    def test_krylov_matches_the_power_rank_on_every_hunt_sample(self, monkeypatch):
+        samples = []
+        real = LieAlgebra.krylov_regular
+
+        def recorded(L, x, vectors):
+            samples.append((L, x, real(L, x, vectors)))
+            return samples[-1][2]
+
+        monkeypatch.setattr(LieAlgebra, "krylov_regular", recorded)
+        cat = default_catalog()
+        for table in ("T1_h_ess", "T2_levi", "T3_symmetric", "T4_spherical",
+                      "T5_not_regular"):
+            for row, params in cat.enumerate(table, 4):
+                call = row.constructor_call(params)
+                if call is not None:
+                    e = embed(build_algebra(row.ambient_descriptors(params)), *call)
+                    find_regular_witness(e, DecisionConfig())
+        verdicts = [ok for _, _, ok in samples]
+        assert verdicts == [power_regular(L, x) for L, x, _ in samples]
+        assert verdicts.count(False) > verdicts.count(True) > 50
 
     def test_diag_sl2_yes(self):
         amb = build_algebra([("A", 1), ("A", 1)])

@@ -21,7 +21,7 @@ from aregularity.lie_core import (
     build_algebra,
     classical_factor,
 )
-from subspace_ops import random_element, zero_element
+from subspace_ops import power_regular, random_element, zero_element
 
 A1 = ("A", 1)
 A2 = ("A", 2)
@@ -265,12 +265,17 @@ def regularity_cases(draw):
     return L, x
 
 
+def krylov(L, x, seed=0):
+    """The Krylov test at one vector per factor from a seeded stream."""
+    return L.krylov_regular(x, L.krylov_vectors(random.Random(seed), 1 << 20))
+
+
 class TestRegularityInV:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(regularity_cases())
     def test_agrees_with_the_ad_rank(self, case):
         L, x = case
-        assert L.is_regular_in_v(x) == L.is_regular(x)[0]
+        assert krylov(L, x) == L.is_regular(x)[0] == power_regular(L, x)
 
     @pytest.mark.parametrize("factors", REGULARITY_ALGEBRAS,
                              ids=lambda fs: "+".join(f"{f}{r}" for f, r in fs))
@@ -279,8 +284,9 @@ class TestRegularityInV:
         elements = [regular_nilpotent(L, skip)
                     for skip in [None] + list(range(len(L.simple_e_indices)))]
         elements += [torus_ramp(L), torus_ramp(L, with_nilpotent=True)]
-        verdicts = [L.is_regular_in_v(x) for x in elements]
+        verdicts = [krylov(L, x) for x in elements]
         assert verdicts == [L.is_regular(x)[0] for x in elements]
+        assert verdicts == [power_regular(L, x) for x in elements]
         assert verdicts[0] and not any(verdicts[1:-2])
 
     @pytest.mark.parametrize("rank", [3, 4, 5, 6])
@@ -291,6 +297,7 @@ class TestRegularityInV:
         # non-regular
         L = build_algebra([("D", rank)])
         n = L.matrix_size
+        assert L.factors[0].krylov_length == n - 1
         for x in (regular_nilpotent(L), torus_ramp(L)):
             mat = L.matrix_of(x)
             X = [[mat.get((a, b), 0) for b in range(n)] for a in range(n)]
@@ -301,13 +308,23 @@ class TestRegularityInV:
                 power = [[sum(row[t] * X[t][b] for t in range(n))
                           for b in range(n)] for row in power]
             assert len(bareiss_echelon(flats)[1]) == n - 1
-            assert L.is_regular(x)[0]
-            assert L.is_regular_in_v(x)
+            assert L.is_regular(x)[0] and power_regular(L, x)
+            assert all(krylov(L, x, seed) for seed in range(5))
 
     def test_requires_semisimple(self):
         L = build_algebra([A1], center_dim=1)
         with pytest.raises(ValueError, match="semisimple"):
-            L.is_regular_in_v(unit(L, 1))
+            L.krylov_regular(unit(L, 1), [[1, 2]])
+
+    def test_a_short_rank_is_a_no(self):
+        # a zero vector, or one inside an invariant subspace of X, spans a
+        # short Krylov sequence even when x is regular
+        L = build_algebra([("A", 2)])
+        x = regular_nilpotent(L)
+        assert krylov(L, x) and L.is_regular(x)[0]
+        assert not L.krylov_regular(x, [[0, 0, 0]])
+        e1 = [[int(a == i) for a in range(3)] for i in range(3)]
+        assert [L.krylov_regular(x, [v]) for v in e1].count(True) == 1
 
 
 class TestRegularModularRank:

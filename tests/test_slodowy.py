@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from aregularity.exact_linalg import Subspace
-from aregularity.lie_core import build_algebra
+from aregularity.lie_core import LieAlgebra, build_algebra
 from aregularity.subalgebras import embed
 from aregularity.criteria import DecisionConfig, decide
 from aregularity.slodowy import (
@@ -92,6 +92,25 @@ def test_slice_regularity_check_sees_a_non_regular_point():
     assert not slice_regularity_check(L, zero, samples=1)
 
 
+def zero_krylov_vectors(monkeypatch):
+    """Patch the Krylov vectors to zero, so that every Krylov rank is short."""
+    monkeypatch.setattr(LieAlgebra, "krylov_vectors", lambda L, rng, bound: [
+        [0] * f.matrix_size for f in L.factors])
+
+
+@pytest.mark.parametrize("factors", [[("A", 2)], [("B", 3)], [("C", 3)], [("D", 4)]])
+def test_slice_regularity_check_falls_back_to_the_ad_rank(factors, monkeypatch):
+    L = build_algebra(factors)
+    s = slodowy_slice(L, principal_sl2(L))
+    zero = SlodowySlice(base=(0,) * L.dim, directions=Subspace.zero(L.dim))
+    assert [slice_regularity_check(L, s), slice_regularity_check(L, zero, samples=1)] \
+        == [True, False]
+    zero_krylov_vectors(monkeypatch)
+    assert not L.krylov_regular(list(s.base), L.krylov_vectors(random.Random(0), 9))
+    assert [slice_regularity_check(L, s), slice_regularity_check(L, zero, samples=1)] \
+        == [True, False]
+
+
 class TestCharPoly:
     def test_diag(self):
         m = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
@@ -120,6 +139,17 @@ class TestSliceRepresentative:
     def test_zero_not_regular(self):
         L = sl(3)
         assert slice_representative_sl(L, zero_element(L)) is None
+
+    def test_falls_back_to_the_ad_rank(self, monkeypatch):
+        L = sl(4)
+        rng = random.Random(7)
+        xs = [random_element(L, rng, 5) for _ in range(4)]
+        xs += [list(principal_sl2(L).e), zero_element(L),
+               L.coords_of_matrix({(0, 0): 1, (1, 1): 1, (2, 2): -1, (3, 3): -1})]
+        before = [slice_representative_sl(L, x) for x in xs]
+        assert before[4] is not None and before[5] is None and before[6] is None
+        zero_krylov_vectors(monkeypatch)
+        assert [slice_representative_sl(L, x) for x in xs] == before
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_char_poly_preserved_on_random_regular(self, n):
