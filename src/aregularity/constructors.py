@@ -1,12 +1,12 @@
 """Named constructors for the subalgebra embeddings of the catalog rows.
 
 A named constructor returns either the matrices of h in the ambient matrix
-space or, for a symmetric pair, only the involution theta, whose fixed
-algebra is h (``subalgebras.fixed_algebra``); never both.  ``custom`` input
-always spans h by its own matrices.  Nothing else is declared: the center /
-simple-ideal split of h is derived from h (``Embedding.ideal_decomposition``).
-All results are validated by ``Embedding`` (bracket closure, involution
-axioms, h = Fix theta), so a wrong construction fails loudly at build time.
+space or, for a symmetric pair, only the spec of the involution theta, whose
+fixed algebra is h; never both.  ``custom`` input always spans h by its own
+matrices.  Nothing else is declared: the center / simple-ideal split of h is
+derived from h (``Embedding.ideal_decomposition``).  All results are
+validated by ``Embedding``, so a wrong construction fails loudly at build
+time.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .exact_linalg import Subspace, rref
+from .exact_linalg import Subspace
 from .lie_core import (
     LieAlgebra,
     SimpleFactorDescriptor,
@@ -26,7 +26,7 @@ from .lie_core import (
     build_algebra,
     classical_factor,
 )
-from .subalgebras import Embedding, InvalidSubalgebraError, fixed_algebra
+from .subalgebras import Embedding, InvalidSubalgebraError
 
 
 @dataclass
@@ -35,8 +35,7 @@ class _Blueprint:
     spanning h, or the involution spec of a symmetric pair, whose fixed
     algebra is h.  A named constructor sets exactly one of the two.
 
-    Specs: ("swap",) exchanges two equal simple factors; ("conj", S) is
-    X -> S X S^-1; ("neg_transpose", S) is X -> -S X^T S^-1."""
+    Specs are those of ``subalgebras._theta_cols_from_spec``."""
 
     matrices: list[SparseMatrix] = field(default_factory=list)
     theta: Optional[tuple] = None
@@ -137,17 +136,6 @@ def _so_in_subspace(m: int, W: list[list[Fraction]], k: int,
                                 amb.pop((r + off, c + off), None)
         out.append(amb)
     return out
-
-
-def _inverse(s: list[list], what: str) -> list[list[Fraction]]:
-    """Inverse of a square matrix, by row reduction of [s | I]: row i of the
-    inverse is the right half of RREF row i divided by its pivot."""
-    n = len(s)
-    rr, piv = rref([list(row) + [int(i == j) for j in range(n)]
-                    for i, row in enumerate(s)])
-    if piv != list(range(n)):
-        raise InvalidSubalgebraError(f"{what} is singular")
-    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(rr)]
 
 
 # -- individual constructors ----------------------------------------------------
@@ -454,50 +442,11 @@ def constructor_names() -> list[str]:
     return sorted(_REGISTRY) + ["custom", "direct_sum"]
 
 
-def _theta_cols_from_spec(ambient: LieAlgebra, spec: tuple) -> list:
-    """Columns of the involution in the ambient basis (see ``_Blueprint``)."""
-    L = ambient
-    if spec[0] == "swap":
-        if len(L.factors) != 2 or L.factors[0] != L.factors[1] or L.center_dim:
-            raise InvalidSubalgebraError("swap needs two equal simple factors")
-        d = L.factor_basis_slices[0][1]
-        return [[int(i == (j + d) % L.dim) for i in range(L.dim)]
-                for j in range(L.dim)]
-    kind, s = spec
-    m = L.matrix_size
-    if kind not in ("conj", "neg_transpose"):
-        raise ValueError(f"unknown involution spec {kind}")
-    if len(s) != m or any(len(row) != m for row in s):
-        raise InvalidSubalgebraError(f"the {kind} matrix must be {m} x {m}")
-    sinv = _inverse(s, f"the {kind} matrix")
-    s_cols = [[(i, s[i][a]) for i in range(m) if s[i][a]] for a in range(m)]
-    sinv_rows = [[(c, sinv[b][c]) for c in range(m) if sinv[b][c]] for b in range(m)]
-    sign = 1 if kind == "conj" else -1
-    cols = []
-    for x in L.basis:
-        img: SparseMatrix = {}
-        for (a, b), v in x.items():
-            if kind == "neg_transpose":
-                a, b = b, a
-            for i, sa in s_cols[a]:
-                for c, sb in sinv_rows[b]:
-                    img[(i, c)] = img.get((i, c), 0) + sign * sa * v * sb
-        coords = L.coords_of_matrix(
-            {pos: w.numerator if w.denominator == 1 else w
-             for pos, w in img.items() if w})
-        if coords is None:
-            raise InvalidSubalgebraError(f"the {kind} involution leaves the algebra")
-        cols.append(coords)
-    return cols
-
-
 def _embedding(ambient: LieAlgebra, mats: Optional[list[SparseMatrix]],
                theta: Optional[tuple], constructor: tuple[str, dict]) -> Embedding:
     """h is spanned by ``mats``, or is Fix(theta) when ``mats`` is None."""
     if mats is None:
-        theta_cols = _theta_cols_from_spec(ambient, theta)
-        return Embedding(ambient, fixed_algebra(theta_cols), constructor=constructor,
-                         theta_cols=theta_cols)
+        return Embedding(ambient, None, constructor=constructor, theta=theta)
     vectors = [ambient.coords_of_matrix(mat) for mat in mats]
     if any(v is None for v in vectors):
         raise InvalidSubalgebraError("constructed matrix lies outside the algebra")
@@ -505,8 +454,7 @@ def _embedding(ambient: LieAlgebra, mats: Optional[list[SparseMatrix]],
     if h.dim != len(vectors):
         raise InvalidSubalgebraError(
             f"constructor {constructor[0]} produced a dependent spanning set")
-    theta_cols = _theta_cols_from_spec(ambient, theta) if theta else None
-    return Embedding(ambient, h, constructor=constructor, theta_cols=theta_cols)
+    return Embedding(ambient, h, constructor=constructor, theta=theta)
 
 
 def embed(ambient: LieAlgebra, constructor: str, params: Optional[dict] = None) -> Embedding:
@@ -599,8 +547,7 @@ def _embed_direct_sum(ambient: LieAlgebra, params: dict) -> Embedding:
         raise InvalidSubalgebraError("direct_sum needs a list 'parts'")
     consumed = 0
     vectors: list = []
-    theta_blocks: list = []
-    all_theta = True
+    theta_parts: list = []
     for i, part in enumerate(parts):
         nf = part.get("factors") if isinstance(part, dict) else None
         if type(nf) is not int or nf < 1 or not isinstance(part.get("constructor"), str):
@@ -617,25 +564,13 @@ def _embed_direct_sum(ambient: LieAlgebra, params: dict) -> Embedding:
             vec = [0] * ambient.dim
             vec[b_off:b_off + sub.dim] = v
             vectors.append(vec)
-        if sub_emb.theta_cols is None:
-            all_theta = False
-        else:
-            theta_blocks.append((b_off, sub.dim, sub_emb.theta_cols))
+        theta_parts.append((consumed, nf, sub_emb.theta))
         consumed += nf
     if consumed != len(ambient.factors):
         raise InvalidSubalgebraError("direct_sum parts do not cover the ambient factors")
-    h = Subspace.span(vectors, ambient.dim)
-    theta_cols = None
-    if all_theta and theta_blocks:
-        theta_cols = []
-        for j in range(ambient.dim):
-            col = [0] * ambient.dim
-            for off, sdim, cols in theta_blocks:
-                if off <= j < off + sdim:
-                    col[off:off + sdim] = cols[j - off]
-                    break
-            else:
-                col[j] = 1
-            theta_cols.append(col)
-    return Embedding(ambient, h, constructor=("direct_sum", params),
-                     theta_cols=theta_cols)
+    # theta is the block sum of the parts' involutions when every part has one
+    theta = None
+    if all(spec is not None for _, _, spec in theta_parts):
+        theta = ("sum", tuple(theta_parts))
+    return Embedding(ambient, Subspace.span(vectors, ambient.dim),
+                     constructor=("direct_sum", params), theta=theta)

@@ -1,9 +1,12 @@
 """Reductive subalgebra embeddings h <= g and their invariants.
 
 An ``Embedding`` stores the subalgebra as a canonical subspace of the
-ambient algebra's coordinate space, validated to be closed under the
-bracket.  Named constructors build the block, fixed-point and diagonally
-glued embeddings appearing in the classification tables:
+ambient algebra's coordinate space.  The involution theta of a symmetric
+pair is built here from its spec (``_theta_cols_from_spec``) and never taken
+as bare columns, so it is an automorphism of g by construction; bracket
+closure is checked exactly when there is no theta.  Named constructors
+build the block, fixed-point and diagonally glued embeddings appearing in
+the classification tables:
 
     block_sgl(p, q)        s(gl_p + gl_q) inside sl_{p+q}
     levi(blocks)           block Levi s(gl_{c_1} + ... ) inside sl_n
@@ -79,9 +82,10 @@ from .exact_linalg import (
     left_kernel_mod_p,
     lift,
     rank_mod_p,
+    rref,
     solve_linear,
 )
-from .lie_core import ElementVector, LieAlgebra
+from .lie_core import ElementVector, LieAlgebra, SparseMatrix, build_algebra
 
 
 class InvalidSubalgebraError(ValueError):
@@ -159,30 +163,39 @@ class GenericStabilizerReport:
 
 
 class Embedding:
-    """A bracket-closed subalgebra of a classical ambient algebra.
+    """A subalgebra h of a classical ambient algebra g, with the involution
+    theta of a symmetric pair when there is one.
 
-    The input is h itself (a basis) and, for a symmetric pair, the columns
-    of the involution; everything else, the center / simple-ideal split
-    included, is derived from h on demand.  Instances are immutable after
-    construction apart from write-once caches, so they are safe to share
-    between threads.
+    The input is h itself (a basis) and, for a symmetric pair, theta's spec
+    (``_theta_cols_from_spec``), from which the columns ``theta_cols`` are
+    built once; with ``h_basis`` None, h is Fix theta.  Every spec is an
+    automorphism of g by construction: X -> S X S^-1 and X -> -S X^T S^-1
+    are automorphisms of gl(V), the builder refuses an image outside g, and
+    the swap of two equal factors and a factor-aligned block sum of
+    automorphisms are automorphisms.  So h = Fix theta is a subalgebra, and
+    bracket closure is checked only when there is no theta.  What a spec
+    can still get wrong (S comes from user input) is theta^2 = 1 and, for a
+    given basis, h = Fix theta; both are checked.  Everything else, the
+    center / simple-ideal split included, is derived from h on demand.
+    Instances are immutable after construction apart from write-once
+    caches, so they are safe to share between threads.
     """
 
-    def __init__(self, ambient: LieAlgebra, h_basis: Subspace,
+    def __init__(self, ambient: LieAlgebra, h_basis: Optional[Subspace],
                  constructor: Optional[tuple[str, dict]] = None,
-                 theta_cols: Optional[list[ElementVector]] = None):
-        if h_basis.ambient_dim != ambient.dim:
+                 theta: Optional[tuple] = None):
+        if h_basis is not None and h_basis.ambient_dim != ambient.dim:
             raise InvalidSubalgebraError("h basis lives in the wrong coordinate space")
         self.ambient = ambient
-        self.h_basis = h_basis
         self.constructor = constructor
-        self.theta_cols = theta_cols
+        self.theta = theta
+        self.theta_cols = None if theta is None else _theta_cols_from_spec(ambient, theta)
+        self.h_basis = fixed_algebra(self.theta_cols) if h_basis is None else h_basis
         self._cache: dict = {}
-        perm = None if theta_cols is None else _signed_permutation(theta_cols)
-        if perm is None:
+        if theta is None:
             self._validate_closure()
-        if theta_cols is not None:
-            self._validate_involution(perm)
+        else:
+            self._validate_involution()
 
     # -- basic data ------------------------------------------------------------
 
@@ -210,8 +223,6 @@ class Embedding:
     # -- involution ------------------------------------------------------------
 
     def apply_theta(self, x: Sequence) -> ElementVector:
-        if self.theta_cols is None:
-            raise InvolutionError("embedding carries no involution")
         out: ElementVector = [0] * self.ambient.dim
         for j, xj in enumerate(x):
             if xj:
@@ -221,49 +232,15 @@ class Embedding:
                         out[i] += xj * c
         return out
 
-    def _validate_involution(self, perm: Optional[list[tuple[int, int]]]) -> None:
-        """Raise ``InvolutionError`` unless theta is an involutive
-        automorphism whose fixed algebra is h; ``perm`` is
-        ``_signed_permutation`` of its columns.
-
-        For a signed permutation the check is complete and implies that h
-        is closed, which ``Embedding`` then does not check: a fixed algebra
-        of an automorphism is a subalgebra, and the law is checked on every
-        pair with a nonzero bracket, which covers the rest, since if
-        [x_i, x_j] = 0 but [theta x_i, theta x_j] != 0, the law on that
-        second pair (checked, its bracket being nonzero) and theta^2 = 1
-        give theta [theta x_i, theta x_j] = +-[x_i, x_j] = 0, against theta
-        being invertible.  For any other theta, pairs with a zero bracket
-        are not checked, so ``Embedding`` checks closure too."""
+    def _validate_involution(self) -> None:
+        """Raise ``InvolutionError`` unless theta^2 = 1 and h = Fix theta;
+        theta is an automorphism by construction (see the class doc)."""
         L = self.ambient
         cols = self.theta_cols
-        if cols is None:
-            raise InvolutionError("embedding carries no involution")
-        if len(cols) != L.dim:
-            raise InvolutionError("involution matrix has the wrong size")
         for j in range(L.dim):
             sq = self.apply_theta(cols[j])
             if any(sq[i] != (1 if i == j else 0) for i in range(L.dim)):
                 raise InvolutionError("involution does not square to the identity")
-        # automorphism property on the basis pairs with a nonzero bracket;
-        # a signed permutation theta(e_k) = s_k e_pi(k) is checked on the
-        # structure constants, theta[e_i, e_j] = sum_k c_k s_k e_pi(k)
-        # against s_i s_j [e_pi(i), e_pi(j)]
-        for i in range(L.dim):
-            for j, terms in L.bracket_rows[i].items():
-                if j < i:
-                    continue
-                if perm is not None:
-                    (pi, si), (pj, sj) = perm[i], perm[j]
-                    lhs = {perm[k][0]: perm[k][1] * c for k, c in terms}
-                    rhs = {k: si * sj * c for k, c in L.bracket_rows[pi].get(pj, ())}
-                else:
-                    lhs = combine([c for _, c in terms], [cols[k] for k, _ in terms],
-                                  L.dim)
-                    rhs = L.bracket(cols[i], cols[j])
-                if lhs != rhs:
-                    raise InvolutionError(
-                        f"involution fails the automorphism law on pair ({i}, {j})")
         # theta^2 = 1 makes dim Fix(theta) = (dim g + tr theta) / 2, so h is
         # Fix(theta) exactly when theta fixes h and the dimensions agree
         trace = sum(cols[j][j] for j in range(L.dim))
@@ -281,13 +258,65 @@ class Embedding:
         return dec
 
 
-def _signed_permutation(cols: Sequence[Sequence]) -> Optional[list[tuple[int, int]]]:
-    """(pi(k), s_k) for every column k when each column of theta is a single
-    s_k = +-1 at row pi(k); None otherwise."""
-    entries = [[(i, c) for i, c in enumerate(col) if c] for col in cols]
-    if all(len(nz) == 1 and nz[0][1] in (1, -1) for nz in entries):
-        return [nz[0] for nz in entries]
-    return None
+def _inverse(s: list[list], what: str) -> list[list[Fraction]]:
+    """Inverse of a square matrix, by row reduction of [s | I]: row i of the
+    inverse is the right half of RREF row i divided by its pivot."""
+    n = len(s)
+    rr, piv = rref([list(row) + [int(i == j) for j in range(n)]
+                    for i, row in enumerate(s)])
+    if piv != list(range(n)):
+        raise InvalidSubalgebraError(f"{what} is singular")
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(rr)]
+
+
+def _theta_cols_from_spec(ambient: LieAlgebra, spec: tuple) -> list[ElementVector]:
+    """Columns of the involution in the ambient basis.
+
+    Specs: ("swap",) exchanges two equal simple factors; ("conj", S) is
+    X -> S X S^-1; ("neg_transpose", S) is X -> -S X^T S^-1; ("sum", parts)
+    is the block sum of parts (first factor, factor count, spec) over the
+    ambient's factors, the identity where no part reaches."""
+    L = ambient
+    if spec[0] == "swap":
+        if len(L.factors) != 2 or L.factors[0] != L.factors[1] or L.center_dim:
+            raise InvalidSubalgebraError("swap needs two equal simple factors")
+        d = L.factor_basis_slices[0][1]
+        return [[int(i == (j + d) % L.dim) for i in range(L.dim)]
+                for j in range(L.dim)]
+    if spec[0] == "sum":
+        cols = [[int(i == j) for i in range(L.dim)] for j in range(L.dim)]
+        for first, count, part in spec[1]:
+            sub = build_algebra(L.factors[first:first + count])
+            off = L.factor_basis_slices[first][0]
+            for j, col in enumerate(_theta_cols_from_spec(sub, part)):
+                cols[off + j][off:off + sub.dim] = col
+        return cols
+    kind, s = spec
+    m = L.matrix_size
+    if kind not in ("conj", "neg_transpose"):
+        raise ValueError(f"unknown involution spec {kind}")
+    if len(s) != m or any(len(row) != m for row in s):
+        raise InvalidSubalgebraError(f"the {kind} matrix must be {m} x {m}")
+    sinv = _inverse(s, f"the {kind} matrix")
+    s_cols = [[(i, s[i][a]) for i in range(m) if s[i][a]] for a in range(m)]
+    sinv_rows = [[(c, sinv[b][c]) for c in range(m) if sinv[b][c]] for b in range(m)]
+    sign = 1 if kind == "conj" else -1
+    cols = []
+    for x in L.basis:
+        img: SparseMatrix = {}
+        for (a, b), v in x.items():
+            if kind == "neg_transpose":
+                a, b = b, a
+            for i, sa in s_cols[a]:
+                for c, sb in sinv_rows[b]:
+                    img[(i, c)] = img.get((i, c), 0) + sign * sa * v * sb
+        coords = L.coords_of_matrix(
+            {pos: w.numerator if w.denominator == 1 else w
+             for pos, w in img.items() if w})
+        if coords is None:
+            raise InvalidSubalgebraError(f"the {kind} involution leaves the algebra")
+        cols.append(coords)
+    return cols
 
 
 def fixed_algebra(theta_cols: Sequence[Sequence]) -> Subspace:
@@ -524,7 +553,7 @@ def perp(e: Embedding) -> Subspace:
     reductive algebraic subgroup: the matrix K(h_i, h_j), read off the
     Gram-applied rows of h, must have a zero kernel, else
     ``DegenerateFormError``.  Stability under ad(h) needs no check here: it
-    follows from bracket closure of h (checked by ``Embedding``) and
+    follows from bracket closure of h (ensured by ``Embedding``) and
     invariance of the trace form (checked once per ambient algebra when it
     is built).
     """
@@ -673,7 +702,11 @@ def cartan_subspace_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
                                ) -> tuple[Subspace, Subspace]:
     """(c, z_h(c)) for a Cartan subspace c of the (-1)-eigenspace q, exact.
 
-    q is h-perp (checked exactly: the involution is -1 on every perp row).
+    q is h-perp with no check: theta preserves the trace form B (it
+    conjugates, or minus transpose-conjugates, the matrices, or permutes
+    equal blocks), so for x in h and y in q, B(x, y) = B(theta x, theta y) =
+    -B(x, y) puts q in h-perp; and dim q = dim g - dim h = dim h-perp, since
+    ``perp`` checks B nondegenerate on h, so h's Gram rows are independent.
     Samples x of q are drawn on the stream ``seed`` with the coefficient
     bounds of ``sample_bounds``.  A sample is accepted when x is semisimple
     (``LieAlgebra.is_diagonalizable_in_v``) and c = z_q(x) is abelian; c is
@@ -695,9 +728,6 @@ def cartan_subspace_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
         raise InvolutionError("embedding carries no involution")
     L = e.ambient
     q_rows = perp(e).basis
-    for r in q_rows:
-        if any(a + b for a, b in zip(e.apply_theta(r), r)):
-            raise InvolutionError("h-perp is not the (-1)-eigenspace of the involution")
     rng = random.Random(seed)
     for bound in sample_bounds(trials, coeff_bound):
         x = random_combination(rng, q_rows, bound, L.dim)

@@ -525,21 +525,29 @@ class TestStabilizer:
         assert code == EXIT_YES
         assert "satake" in rep["routes_agreed"]
 
-    @pytest.mark.parametrize("g,mats,involution,error", [
+    @pytest.mark.parametrize("g,mats,involution,error,message", [
         ([("A", 2)], [[[0, 1, 0], [-1, 0, 0], [0, 0, 0]]], {"kind": "neg_transpose"},
-         "InvolutionError"),
-        ([("A", 1)], [[[1, 0], [0, -1]]], {"kind": "neg_transpose"}, "InvolutionError"),
+         "InvolutionError", "fixed algebra"),
+        ([("A", 1)], [[[1, 0], [0, -1]]], {"kind": "neg_transpose"}, "InvolutionError",
+         "fixed algebra"),
         ([("A", 1)], [[[1, 0], [0, -1]]],
-         {"kind": "conjugation", "matrix": [[1, 0], [0, 2]]}, "InvolutionError"),
-        ([("A", 1)], [], {"kind": "neg_transpose"}, "InvolutionError"),
+         {"kind": "conjugation", "matrix": [[1, 0], [0, 2]]}, "InvolutionError",
+         "square"),
+        ([("A", 1)], [], {"kind": "neg_transpose"}, "InvolutionError", "fixed algebra"),
         ([("C", 2)], [[[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]]],
          {"kind": "conjugation",
           "matrix": [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
-         "InvalidSubalgebraError"),
+         "InvalidSubalgebraError", "leaves the algebra"),
+        # span(E01, E10) is not closed; with a theta only h = Fix theta is
+        # checked, and it fails
+        ([("A", 2)],
+         [[[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0], [0, 0, 0]]],
+         {"kind": "conjugation", "matrix": [[1, 1, 0], [0, -1, 0], [0, 0, 1]]},
+         "InvolutionError", "fixed algebra"),
     ], ids=["h-smaller-than-fix", "h-not-fixed", "theta-squared-not-one",
-            "empty-h", "theta-leaves-g"])
+            "empty-h", "theta-leaves-g", "non-closed-h"])
     def test_custom_involution_must_fix_exactly_h(self, tmp_path, capsys, g, mats,
-                                                  involution, error):
+                                                  involution, error, message):
         doc = {"g": [{"family": f, "rank": r} for f, r in g],
                "h": {"custom": {"matrices": mats, "involution": involution}}}
         # the embedding itself is refused, before any route runs
@@ -548,7 +556,8 @@ class TestStabilizer:
         code = main(["decide", write_pair(tmp_path, "p.json", doc)] + FAST)
         out, err = capsys.readouterr()
         assert code == EXIT_ERROR
-        assert json.loads(out)["error"] == error
+        rep = json.loads(out)
+        assert rep["error"] == error and message in rep["message"]
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("rank,mats,error,message", [
