@@ -22,9 +22,10 @@ locus of g.  Three routes decide this:
 A fourth route applies to symmetric embeddings: the centralizer in h of a
 Cartan subspace c of the (-1)-eigenspace q equals the generic stabilizer,
 so the pair is a-regular iff that centralizer is abelian (no painted node
-on the associated involution diagram).  It is exact: a semisimple sample x
-of q with abelian z_q(x) certifies c = z_q(x) and z_h(c) = z_h(x)
-(Kostant-Rallis), so its report's failure bound is 0.
+on the involution diagram).  It is exact, with failure bound 0: a
+semisimple sample x of q with abelian z_q(x) certifies c = z_q(x) and
+z_h(c) = z_h(x) (Kostant-Rallis), and ad x has one rank on h and on q, so
+z_h(c) is abelian iff dim h - dim q + 2 dim c = rank g.
 
 ``decide`` runs every applicable route and, when given a catalog, the
 table lookup; any disagreement raises instead of being resolved silently,
@@ -48,10 +49,10 @@ from .subalgebras import (
     GenericStabilizerReport,
     cartan_subspace_stabilizer,
     generic_stabilizer,
-    is_abelian,
     perp,
     random_combination,
     sample_bounds,
+    stabilizer,
     sz_bound,
 )
 
@@ -210,22 +211,20 @@ def satake_route(e: Embedding, cfg: DecisionConfig = DecisionConfig()) -> Verdic
     """Symmetric-pair route: abelian z_h(c) for a Cartan subspace c of q.
 
     This is the computational surrogate for the involution diagram having
-    no painted nodes; z_h(c) realizes the generic stabilizer exactly.  Its
-    reductive rank is exact, rank g - dim c (Kostant-Rallis: z_g(c) =
-    z_h(c) + c is a Levi subalgebra with c central).  c and z_h(c) come
-    from one sample certified by ``cartan_subspace_stabilizer``, on a
-    stream of their own (seed + 17), so the report's ``failure_bound`` is
-    0."""
-    L = e.ambient
-    c, zc = cartan_subspace_stabilizer(
+    no painted nodes; z_h(c) realizes the generic stabilizer exactly.  c
+    comes from one sample x certified by ``cartan_subspace_stabilizer`` on
+    a stream of its own (seed + 17); z_h(c) = z_h(x) is counted exactly,
+    not solved, so ``failure_bound`` is 0, and its basis
+    ``stabilizer(e, x)`` is built only when read."""
+    c, x = cartan_subspace_stabilizer(
         e, seed=cfg.seed + 17, trials=cfg.trials, coeff_bound=cfg.coeff_bound)
-    abelian = is_abelian(L, zc.basis)
+    dim, rank = e.dim_h - perp(e).dim + c.dim, e.ambient.rank - c.dim
     rep = GenericStabilizerReport(
-        dim=zc.dim, is_abelian=abelian, reductive_rank=L.rank - c.dim,
+        dim=dim, is_abelian=dim == rank, reductive_rank=rank,
         trials=cfg.trials, coefficient_bound=cfg.coeff_bound,
-        failure_bound=Fraction(0), build_basis=lambda: zc)
+        failure_bound=Fraction(0), build_basis=lambda: stabilizer(e, x))
     inv = _invariants(e, cfg)
-    return Verdict(abelian, AbelianStabilizer(rep), ("satake",), inv)
+    return Verdict(rep.is_abelian, AbelianStabilizer(rep), ("satake",), inv)
 
 
 def decide(e: Embedding, cfg: DecisionConfig = DecisionConfig(),

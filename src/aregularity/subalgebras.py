@@ -127,14 +127,14 @@ class GenericStabilizerReport:
     the invariants' Jacobian at the first sample (for an abelian h* that is
     checked to equal dim h*).  Otherwise abelianness is exact at x, and a
     non-abelian stabilizer's reductive rank follows the sampling rule inside
-    the stabilizer.  The Satake route instead reports z_h(c) for a certified
-    Cartan subspace c, with the exact rank rank g - dim c
-    (``cartan_subspace_stabilizer``).
+    the stabilizer.  The Satake route instead counts z_h(c) for a certified
+    Cartan subspace c: dimension dim h - dim q + dim c and rank rank g -
+    dim c, both exact (``cartan_subspace_stabilizer``).
 
     ``stab_basis`` is the exact basis of h* at x, the ``lift`` of the exact
-    left kernel there.  ``build_basis`` computes it on the first read, which
-    checks it against ``dim`` and ``is_abelian`` (``RuntimeError`` on a
-    mismatch), so a caller that reads only the numbers never pays for it.
+    left kernel there.  ``build_basis`` computes it on the first read, so a
+    caller that reads only the numbers never pays for it; route 2 checks it
+    against ``dim`` and ``is_abelian`` (``RuntimeError`` on a mismatch).
 
     ``failure_bound`` bounds the probability that a field is wrong.  A
     certified pass adds nothing for its rank.  An abelian verdict found
@@ -195,7 +195,7 @@ class Embedding:
         if theta is None:
             self._validate_closure()
         else:
-            self._validate_involution()
+            self._validate_involution(h_basis is not None)
 
     # -- basic data ------------------------------------------------------------
 
@@ -232,9 +232,11 @@ class Embedding:
                         out[i] += xj * c
         return out
 
-    def _validate_involution(self) -> None:
-        """Raise ``InvolutionError`` unless theta^2 = 1 and h = Fix theta;
-        theta is an automorphism by construction (see the class doc)."""
+    def _validate_involution(self, h_given: bool) -> None:
+        """Raise ``InvolutionError`` unless theta^2 = 1 and, for a given h
+        basis, h = Fix theta.  theta is an automorphism by construction (see
+        the class doc); a derived h, span(1 + theta), is Fix theta once
+        theta^2 = 1."""
         L = self.ambient
         cols = self.theta_cols
         for j in range(L.dim):
@@ -243,9 +245,9 @@ class Embedding:
                 raise InvolutionError("involution does not square to the identity")
         # theta^2 = 1 makes dim Fix(theta) = (dim g + tr theta) / 2, so h is
         # Fix(theta) exactly when theta fixes h and the dimensions agree
-        trace = sum(cols[j][j] for j in range(L.dim))
-        if 2 * self.dim_h != L.dim + trace or any(
-                self.apply_theta(row) != list(row) for row in self.h_basis.basis):
+        if h_given and (2 * self.dim_h != L.dim + sum(cols[j][j] for j in range(L.dim))
+                        or any(self.apply_theta(row) != list(row)
+                               for row in self.h_basis.basis)):
             raise InvolutionError("h is not the fixed algebra of the involution")
 
     # -- ideal decomposition ---------------------------------------------------
@@ -503,7 +505,9 @@ def rank_trials(L: LieAlgebra, rows: Sequence[Sequence[int]],
                         else L.invariant_jacobian_rank(x, sample_rows, p))
             cap = min(cap, len(pivots) - jacobian)
     x, brackets, restricted = best
-    _check_in_span(L.dim, brackets, sample_rows, pivots)
+    if not _in_span(L.dim, brackets, sample_rows, pivots):
+        raise RuntimeError("a bracket at the sample leaves span(sample_rows), "
+                           "which must be ad(rows)-stable; internal error")
     return RankedTrials(x, restricted, best_rank, bits, best_rank == cap, jacobian)
 
 
@@ -521,15 +525,6 @@ def _in_span(dim: int, vectors: list[list[int]],
                               sample_rows, dim) != [scale * a for a in v]:
             return False
     return True
-
-
-def _check_in_span(dim: int, vectors: list[list[int]],
-                   sample_rows: Sequence[Sequence[int]], pivots: list[int]) -> None:
-    """Raise ``RuntimeError`` unless ``_in_span`` holds."""
-    if not _in_span(dim, vectors, sample_rows, pivots):
-        raise RuntimeError(
-            "a bracket at the sample leaves span(sample_rows), which "
-            "must be ad(rows)-stable; internal error")
 
 
 def is_abelian(L: LieAlgebra, rows: Sequence[Sequence], p: int = 0) -> bool:
@@ -699,27 +694,30 @@ def _checked_basis(L: LieAlgebra, h_rows: Sequence[Sequence[int]], first: Ranked
 
 def cartan_subspace_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
                                coeff_bound: int = 1 << 20
-                               ) -> tuple[Subspace, Subspace]:
-    """(c, z_h(c)) for a Cartan subspace c of the (-1)-eigenspace q, exact.
+                               ) -> tuple[Subspace, ElementVector]:
+    """(c, x): a Cartan subspace c of the (-1)-eigenspace q, exact, and the
+    sample x of q that certifies it.
 
     q is h-perp with no check: theta preserves the trace form B (it
     conjugates, or minus transpose-conjugates, the matrices, or permutes
-    equal blocks), so for x in h and y in q, B(x, y) = B(theta x, theta y) =
-    -B(x, y) puts q in h-perp; and dim q = dim g - dim h = dim h-perp, since
-    ``perp`` checks B nondegenerate on h, so h's Gram rows are independent.
-    Samples x of q are drawn on the stream ``seed`` with the coefficient
-    bounds of ``sample_bounds``.  A sample is accepted when x is semisimple
-    (``LieAlgebra.is_diagonalizable_in_v``) and c = z_q(x) is abelian; c is
-    one exact kernel over the coordinates where the brackets [q_j, x] are
-    nonzero.  By Kostant-Rallis (1971), z_q(x) is then a Cartan subspace and
-    z_h(x) = z_h(c): z_g(x) = z_h(x) + c is reductive and theta-stable, so
-    ad z_h(x) maps c into c, orthogonally to c under the nondegenerate
-    trace form of z_g(x), hence to 0.  z_h(x) is one exact kernel of the
-    brackets [h_i, x] on q's pivot columns ([h, q] lies in q; checked as
-    ``rank_trials`` checks it).  Neither value is a sampled claim, so the
-    route adds no failure term; when no sample is accepted it raises
-    ``GenericityError``.  Since z_g(c) = z_h(c) + c is a Levi subalgebra
-    with c central, the reductive rank of z_h(c) is exactly rank g - dim c."""
+    equal blocks), so B(u, v) = B(theta u, theta v) = -B(u, v) for u in h
+    and v in q puts q in h-perp, and dim q = dim g - dim h = dim h-perp, as
+    B is nondegenerate on the semisimple g.  Samples x of q are drawn on
+    the stream ``seed`` with the bounds of ``sample_bounds``.  x is accepted
+    when it is semisimple (``LieAlgebra.is_diagonalizable_in_v``) and c =
+    z_q(x), one exact kernel over the coordinates where the brackets
+    [q_j, x] are nonzero, is abelian.  By Kostant-Rallis (1971), c is then a
+    Cartan subspace and z_h(x) = z_h(c): z_g(x) = z_h(x) + c is reductive
+    and theta-stable, so ad z_h(x) maps c into c, orthogonally to c under
+    the nondegenerate trace form of z_g(x), hence to 0.  ad x maps h to q
+    and q to h, minus each other's adjoint under B, which is nondegenerate
+    on h (``perp`` checks it) and so on q; the two maps have one rank, so
+    dim z_h(c) = dim h - dim q + dim c with no second kernel.  z_g(c) =
+    z_h(c) + c is a Levi subalgebra with c central, so z_h(c) is reductive
+    of rank rank g - dim c, abelian exactly when its dimension is that
+    rank, and spanned by ``stabilizer(e, x)``.  Nothing here is sampled,
+    so the route adds no failure term; when no sample is accepted it raises
+    ``GenericityError``."""
     key = ("cartan_stab", seed, trials, coeff_bound)
     cached = e._cache.get(key)
     if cached is not None:
@@ -743,13 +741,8 @@ def cartan_subspace_stabilizer(e: Embedding, seed: int = 0, trials: int = 8,
         raise GenericityError(
             "no sample in q was semisimple with abelian z_q(x); retry with a "
             "different seed")
-    h_rows = e.h_basis.basis
-    pivots = perp(e).pivots()
-    brackets = [L.bracket(r, x) for r in h_rows]
-    _check_in_span(L.dim, brackets, q_rows, pivots)
-    zc = lift(left_kernel([[v[k] for k in pivots] for v in brackets]), h_rows, L.dim)
-    e._cache[key] = (c, zc)
-    return c, zc
+    e._cache[key] = (c, x)
+    return c, x
 
 
 # -- reductive decomposition ----------------------------------------------------

@@ -16,7 +16,7 @@ from aregularity.exact_linalg import (
     Subspace, bareiss_echelon, clear_denominators, is_prime, kernel, left_kernel, lift,
     rank_mod_p)
 from aregularity.lie_core import SimpleFactorDescriptor, _factor_data, build_algebra
-from aregularity import constructors, exact_linalg, subalgebras
+from aregularity import constructors, criteria, exact_linalg, subalgebras
 from aregularity.subalgebras import (
     BracketClosureError,
     Embedding,
@@ -71,6 +71,24 @@ class TestConstructors:
         e = embed(sl(5), "block_sgl", {"p": 2, "q": 3})
         assert e.dim_h == 12
         assert calls == [24]
+
+    @pytest.mark.parametrize("ambient,constructor,params", [
+        (lambda: sl(5), "block_sgl", {"p": 2, "q": 3}),
+        (lambda: so(8), "so_block", {"p": 5, "q": 3}),
+    ])
+    def test_named_symmetric_embed_applies_theta_once_per_column(
+            self, monkeypatch, ambient, constructor, params):
+        # a derived h, span(1 + theta), is Fix(theta) once theta^2 = 1, so
+        # theta is applied to its own columns only, never to h's rows
+        original, calls = Embedding.apply_theta, []
+
+        def counted(self, x):
+            calls.append(1)
+            return original(self, x)
+
+        monkeypatch.setattr(Embedding, "apply_theta", counted)
+        e = embed(ambient(), constructor, params)
+        assert len(calls) == e.ambient.dim
 
     def test_so_in_sl_3(self):
         e = embed(sl(3), "so_in_sl", {"n": 3})
@@ -927,6 +945,39 @@ class TestSymmetric:
                               for i in range(n)]
             assert perp(e) == Subspace.span(kernel(theta_plus_one, n), n), e.constructor
 
+    def test_z_h_dimension_is_the_adjoint_rank_count(self):
+        # for x in q, ad x maps h to q and q to h, minus each other's
+        # adjoint under the trace form, so dim z_h(x) = dim h - dim q +
+        # dim z_q(x): at x = 0, at a nilpotent basis row of q, at three
+        # random points of q, and at the satake route's own sample, where
+        # the route reports the count and builds the basis on read
+        def nilpotent(L, x):
+            m = power = L.dense_matrix_of(x)
+            for _ in range(L.matrix_size - 1):
+                power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)]
+                         for row in power]
+            return any(map(any, m)) and not any(map(any, power))
+
+        rng, with_nilpotent = random.Random(7), 0
+        for e in symmetric_pairs_4():
+            L, q_rows = e.ambient, perp(e).basis
+            points = [[0] * L.dim] + [random_combination(rng, q_rows, 3, L.dim)
+                                      for _ in range(3)]
+            nil = next((list(r) for r in q_rows if nilpotent(L, r)), None)
+            if nil is not None:
+                points.append(nil)
+                with_nilpotent += 1
+            for x in points:
+                z_q = len(left_kernel([L.bracket(r, x) for r in q_rows]))
+                assert stabilizer(e, x).dim == e.dim_h - len(q_rows) + z_q, \
+                    (e.constructor, x)
+            rep = satake_route(e, DecisionConfig(seed=3, trials=4,
+                                                 coeff_bound=1 << 10)).certificate.report
+            assert rep.dim == rep.stab_basis.dim, e.constructor
+        # only q = symmetric matrices (so_n in sl_n, x -> -x^T) has no
+        # nonzero rational nilpotent: real symmetric matrices diagonalize
+        assert with_nilpotent >= len(symmetric_pairs_4()) - 4
+
     def test_satake_exact_rank_matches_sampled_rank(self):
         cfg = DecisionConfig(seed=3, trials=4, coeff_bound=1 << 10)
         for e in symmetric_pairs(4):
@@ -979,10 +1030,52 @@ class TestSymmetric:
             return nilpotent if len(draws) == 1 else draws[-1]
 
         monkeypatch.setattr(subalgebras, "random_combination", nilpotent_first)
-        c, zc = cartan_subspace_stabilizer(e, seed=5, trials=2, coeff_bound=1 << 10)
-        assert len(draws) == 2
+        c, x = cartan_subspace_stabilizer(e, seed=5, trials=2, coeff_bound=1 << 10)
+        assert len(draws) == 2 and x == draws[1]
         assert c == Subspace.span([draws[1]], e.ambient.dim)
-        assert zc.dim == 0
+        assert stabilizer(e, x).dim == 0
+
+    def test_non_semisimple_sample_with_abelian_z_q_is_skipped(self, monkeypatch):
+        # in sl4 > s(gl2 + gl2), x = E02 + E13 lies in q and is nilpotent,
+        # and z_q(x) is abelian of dimension 4; accepted, it would give the
+        # count dim h - dim q + 4 = 3 and rank 3 - 4 = -1
+        cfg = DecisionConfig(seed=3, trials=4, coeff_bound=1 << 10)
+        e = embed(sl(4), "block_sgl", {"p": 2, "q": 2})
+        L, q_rows = e.ambient, perp(e).basis
+        x = L.coords_of_matrix({(0, 2): 1, (1, 3): 1})
+        m = L.dense_matrix_of(x)
+        assert perp(e).contains_vector(x) and any(map(any, m))
+        assert all(sum(a * b for a, b in zip(row, col)) == 0
+                   for row in m for col in zip(*m))  # x^2 = 0: not semisimple
+        z_q = lift(left_kernel([L.bracket(r, x) for r in q_rows]), q_rows, L.dim)
+        assert z_q.dim == 4 and is_abelian(L, z_q.basis)
+        assert (e.dim_h, len(q_rows)) == (7, 8)
+        knop_invariants(e, cfg)  # route 2 draws before the patch
+        real, draws = subalgebras.random_combination, []
+
+        def x_first(rng, rows, bound, dim):
+            draws.append(real(rng, rows, bound, dim))
+            return x if len(draws) == 1 else draws[-1]
+
+        monkeypatch.setattr(subalgebras, "random_combination", x_first)
+        rep = satake_route(e, cfg).certificate.report
+        assert (rep.dim, rep.is_abelian, rep.reductive_rank) == (1, True, 1)
+        assert len(draws) >= 2
+        assert rep.stab_basis.dim == 1
+
+    def test_satake_route_counts_without_the_stabilizer(self, monkeypatch):
+        def no_stabilizer(*args):
+            raise AssertionError("the satake route built z_h(c)")
+
+        monkeypatch.setattr(subalgebras, "stabilizer", no_stabilizer)
+        monkeypatch.setattr(criteria, "stabilizer", no_stabilizer)
+        e = embed(sl(6), "block_sgl", {"p": 2, "q": 4})
+        rep = satake_route(e, DecisionConfig(seed=3, trials=4,
+                                             coeff_bound=1 << 10)).certificate.report
+        # dim c = 2 and z_h(c) = s(gl1 + gl1 + gl2): dimension 5, rank 3
+        assert (rep.dim, rep.is_abelian, rep.reductive_rank) == (5, False, 3)
+        with pytest.raises(AssertionError, match="built z_h"):
+            rep.stab_basis
 
     def test_all_nilpotent_samples_raise(self, monkeypatch):
         e, nilpotent = self._sl2_torus()
@@ -1000,7 +1093,8 @@ class TestSymmetric:
     def test_cartan_subspace_matches_generic_stabilizer(self, maker):
         e = maker()
         L = e.ambient
-        c, zc = cartan_subspace_stabilizer(e, seed=5, trials=4, coeff_bound=1 << 10)
+        c, x = cartan_subspace_stabilizer(e, seed=5, trials=4, coeff_bound=1 << 10)
+        zc = stabilizer(e, x)
         rep = generic_stabilizer(e, seed=11, trials=4, coeff_bound=1 << 10)
         assert c.dim > 0 and contains_subspace(perp(e), c)
         assert is_abelian(L, [list(v) for v in c.basis])
